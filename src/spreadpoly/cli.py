@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from time import perf_counter
@@ -17,20 +16,13 @@ from time import perf_counter
 from . import factor as factor_mod
 from . import fib as fib_mod
 from . import sequences, verify
-from .errors import OutOfBoundsError, SpreadPolyError
+from .errors import OutOfBoundsError, SpreadPolyError, env_int
 from .factor import PhiRoute
 from .intpoly import IntPoly, mul_karatsuba, mul_schoolbook
 
-DEFAULT_MAX_INDEX = int(os.environ.get("SPREADPOLY_MAX_INDEX", 10_000))
+DEFAULT_MAX_INDEX = 10_000
 
 _ROUTES = {"min": PhiRoute.MINIMAL_POLY, "fast": PhiRoute.COMPOSITION}
-
-
-def _phi_by_route(n: int, route: PhiRoute) -> IntPoly:
-    if route is PhiRoute.COMPOSITION:
-        return factor_mod.phi_composed(n)
-    return factor_mod.phi_min(n)
-
 
 _FAMILIES = {
     "lucas": (lambda n, route: sequences.lucas(n), 0),
@@ -38,7 +30,7 @@ _FAMILIES = {
     "zpread": (lambda n, route: sequences.zpread(n), 1),
     "spread": (lambda n, route: sequences.spread(n), 1),
     "psi": (lambda n, route: factor_mod.psi(n), 1),
-    "phi": (_phi_by_route, 1),
+    "phi": (lambda n, route: factor_mod._ROUTE_BUILDERS[route](n), 1),
     "Phi": (lambda n, route: factor_mod.capital_phi(n, route), 1),
 }
 
@@ -101,11 +93,8 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    instances = int(os.environ.get("SPREADPOLY_VERIFY_INSTANCES", 1000))
-    if args.corrupt_phi is not None:
-        with factor_mod.corrupted_phi(args.corrupt_phi):
-            report = verify.run_verification(args.sweep, args.tol, instances)
-    else:
+    instances = env_int("SPREADPOLY_VERIFY_INSTANCES", 1000, 1)
+    with factor_mod.corrupted_phi(args.corrupt_phi):
         report = verify.run_verification(args.sweep, args.tol, instances)
     if args.format == "record":
         for suite in report.suites:
@@ -151,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-n",
         type=int,
-        default=DEFAULT_MAX_INDEX,
-        help=f"largest accepted index (default {DEFAULT_MAX_INDEX})",
+        default=None,
+        help=f"largest accepted index (default $SPREADPOLY_MAX_INDEX, else {DEFAULT_MAX_INDEX})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -199,6 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_n is None:
+            args.max_n = env_int("SPREADPOLY_MAX_INDEX", DEFAULT_MAX_INDEX, 1)
         return args.func(args)
     except (SpreadPolyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,8 @@ whole family at once.
 
 from __future__ import annotations
 
+import os
+
 
 class SpreadPolyError(Exception):
     """Base class for all spreadpoly-specific errors."""
@@ -79,3 +81,25 @@ class IdentityFailureError(SpreadPolyError):
 
 class OutOfBoundsError(SpreadPolyError):
     """A requested index exceeds the configured maximum."""
+
+
+class ConfigurationError(SpreadPolyError):
+    """A ``SPREADPOLY_*`` environment variable is malformed or out of range."""
+
+
+def env_int(name: str, default: int | None, minimum: int) -> int | None:
+    """The integer in environment variable ``name``, or ``default`` when unset or empty.
+
+    Raises ConfigurationError naming the variable, its value and the allowed
+    range when the value is not an integer or is below ``minimum``.
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+        if value >= minimum:
+            return value
+    except ValueError:
+        pass
+    raise ConfigurationError(f"{name}={raw!r} is invalid: expected an integer >= {minimum}")

@@ -10,6 +10,7 @@ primary bug detector.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
 from contextlib import contextmanager
@@ -21,8 +22,8 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-from .intpoly import IntPoly, X, div_exact, palindrome_fold
-from .sequences import CACHE, _MISSING, cyclotomic, divisors, lucas, totient, zpread
+from .intpoly import ONE, IntPoly, X, div_exact, palindrome_fold
+from .sequences import CACHE, cyclotomic, divisors, lucas, totient, zpread
 
 
 def psi(n: int) -> IntPoly:
@@ -101,9 +102,7 @@ def phi_odd_lucas(m: int) -> IntPoly:
 def _phi_odd_lucas(m: int) -> IntPoly:
     if m == 1:
         return X
-    den = X
-    for d in divisors(m)[1:-1]:
-        den = den * phi_odd_lucas(d).stretch(2)
+    den = math.prod((phi_odd_lucas(d).stretch(2) for d in divisors(m)[1:-1]), start=X)
     squared = div_exact(lucas(m), den)
     return _unstretch2(squared, m)
 
@@ -186,6 +185,12 @@ def applicable_routes(n: int) -> list[PhiRoute]:
     return routes
 
 
+# Index whose reference value cross_check_phi perturbs; set by corrupted_phi.
+_CORRUPTED_PHI: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "corrupted_phi", default=None
+)
+
+
 @dataclass(frozen=True)
 class PhiCrossCheck:
     """Outcome of computing one index by every applicable route."""
@@ -205,6 +210,8 @@ def cross_check_phi(n: int) -> PhiCrossCheck:
         raise ValueError("index must be positive")
     routes = applicable_routes(n)
     reference = _ROUTE_BUILDERS[routes[0]](n)
+    if n == _CORRUPTED_PHI.get():
+        reference = reference + 1
     for route in routes[1:]:
         candidate = _ROUTE_BUILDERS[route](n)
         if candidate != reference:
@@ -213,23 +220,18 @@ def cross_check_phi(n: int) -> PhiCrossCheck:
 
 
 @contextmanager
-def corrupted_phi(n: int):
-    """Test hook: perturb the reference route at one index.
+def corrupted_phi(n: int | None):
+    """Test hook: perturb the reference route at one index (None: no index).
 
     Lets callers exercise the mismatch reporting without touching caches;
-    only the cross-check dispatch sees the corrupted value.
+    only cross_check_phi in the current thread or context sees the
+    corrupted value.
     """
-    original = _ROUTE_BUILDERS[PhiRoute.MINIMAL_POLY]
-
-    def corrupt(m: int) -> IntPoly:
-        value = original(m)
-        return value + 1 if m == n else value
-
-    _ROUTE_BUILDERS[PhiRoute.MINIMAL_POLY] = corrupt
+    token = _CORRUPTED_PHI.set(n)
     try:
         yield
     finally:
-        _ROUTE_BUILDERS[PhiRoute.MINIMAL_POLY] = original
+        _CORRUPTED_PHI.reset(token)
 
 
 def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
@@ -243,18 +245,16 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
         raise ValueError("index must be positive")
     if route not in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
         raise ValueError(f"route {route.value} cannot build every index")
-    family = f"capital_phi:{route.value}"
-    got = CACHE.lookup(family, n)
-    if got is not _MISSING:
-        return got
+    return CACHE.get_or_compute(f"capital_phi:{route.value}", n, lambda: _capital_phi(n, route))
+
+
+def _capital_phi(n: int, route: PhiRoute) -> IntPoly:
     if n == 1:
-        value = X
-    elif n == 2:
-        value = IntPoly((4, -1))
-    else:
-        phi = phi_min(n) if route is PhiRoute.MINIMAL_POLY else phi_composed(n)
-        value = phi * phi
-    return CACHE.store(family, n, value)
+        return X
+    if n == 2:
+        return IntPoly((4, -1))
+    phi = _ROUTE_BUILDERS[route](n)
+    return phi * phi
 
 
 @dataclass(frozen=True)
@@ -312,9 +312,7 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
     if n < 1:
         raise ValueError("index must be positive")
     factors = tuple(Factor(d, 1, capital_phi(d, route)) for d in divisors(n))
-    product = IntPoly((1,))
-    for f in factors:
-        product = product * f.poly
+    product = math.prod((f.poly for f in factors), start=ONE)
     expected = zpread(n)
     if product != expected:
         raise VerificationFailureError(
@@ -327,20 +325,14 @@ def factor_lucas_minus2(n: int) -> FactorizationRecord:
     """Factor L_n - 2: simple factors at divisors 1 and 2, squares elsewhere."""
     if n < 1:
         raise ValueError("index must be positive")
-    factors = []
-    for d in divisors(n):
-        factors.append(Factor(d, 1 if d <= 2 else 2, psi(d)))
-    product = IntPoly((1,))
-    for f in factors:
-        product = product * f.poly
-        if f.multiplicity == 2:
-            product = product * f.poly
+    factors = tuple(Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n))
+    product = math.prod((f.poly**f.multiplicity for f in factors), start=ONE)
     expected = lucas(n) - 2
     if product != expected:
         raise VerificationFailureError(
             f"Lucas factor product mismatch at n={n}: {product} != {expected}"
         )
-    return FactorizationRecord("lucas_minus_2", n, tuple(factors), product)
+    return FactorizationRecord("lucas_minus_2", n, factors, product)
 
 
 @dataclass(frozen=True)
@@ -363,8 +355,8 @@ def float_root_check(n: int, tol: float) -> FloatRootCheck:
     """
     if n < 3:
         raise ValueError("root check needs n >= 3")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     p = phi_min(n)
     bound = tol * (1 + sum(abs(c) for c in p.coeffs))
     worst = 0.0

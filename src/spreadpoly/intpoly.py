@@ -11,17 +11,13 @@ positive denominator) are exactly what the evaluation routines need.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import NotDivisibleError, NotPalindromicError, OddDegreeError
+from .errors import NotDivisibleError, NotPalindromicError, OddDegreeError, env_int
 
-ExactRational = Fraction
-
-_DEFAULT_MUL_THRESHOLD = 32
-_mul_threshold = int(os.environ.get("SPREADPOLY_MUL_THRESHOLD", _DEFAULT_MUL_THRESHOLD))
+_mul_threshold = env_int("SPREADPOLY_MUL_THRESHOLD", 32, 1)
 
 
 def get_mul_threshold() -> int:
@@ -101,13 +97,7 @@ class IntPoly:
             other = IntPoly((other,))
         elif not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(_seq_add(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
@@ -292,11 +282,6 @@ def _mul_dispatch(a, b, threshold: int) -> list[int]:
     return out
 
 
-def mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Exact product; schoolbook at or below the size threshold, split above."""
-    return p * q
-
-
 def mul_schoolbook(p: IntPoly, q: IntPoly) -> IntPoly:
     """Exact product by the quadratic path, regardless of size."""
     if p.is_zero() or q.is_zero():
@@ -316,25 +301,16 @@ def mul_karatsuba(p: IntPoly, q: IntPoly, threshold: int | None = None) -> IntPo
     return IntPoly(_mul_dispatch(p.coeffs, q.coeffs, t))
 
 
-def add(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Coefficientwise sum, normalized."""
-    return p + q
-
-
-def compose(p: IntPoly, q: IntPoly) -> IntPoly:
-    """p composed with q; degree multiplies for nonconstant inputs."""
-    return p.compose(q)
-
-
 # -- exact division --------------------------------------------------------
 
 
 def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
     """The polynomial r with q*r = p, when it exists in integer coefficients.
 
-    Raises NotDivisibleError if division over the rationals leaves a
-    remainder or a fractional quotient coefficient, ZeroDivisionError if
-    q is zero.
+    Long division over the integers, one ``divmod`` by the leading
+    coefficient of q per step.  Raises NotDivisibleError on the first
+    fractional quotient coefficient or a nonzero remainder,
+    ZeroDivisionError if q is zero.
 
     >>> str(div_exact(IntPoly((-4, 0, 1)), IntPoly((-2, 1))))
     '2 + x'
@@ -346,22 +322,16 @@ def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
     dp, dq = p.degree(), q.degree()
     if dp < dq:
         raise NotDivisibleError(f"degree {dp} cannot be divided by degree {dq}")
-    if abs(q.leading_coefficient()) == 1:
-        return _div_exact_unit_lead(p, q)
-    return _div_exact_rational(p, q)
-
-
-def _div_exact_unit_lead(p: IntPoly, q: IntPoly) -> IntPoly:
-    # Leading coefficient +-1: every long-division step stays in the integers.
     rem = list(p.coeffs)
     qc = q.coeffs
-    dq = q.degree()
     lead = qc[-1]
-    quot = [0] * (p.degree() - dq + 1)
-    for i in range(len(quot) - 1, -1, -1):
+    quot = [0] * (dp - dq + 1)
+    for i in range(dp - dq, -1, -1):
         c = rem[i + dq]
         if c:
-            t = c * lead
+            t, r = divmod(c, lead)
+            if r:
+                raise NotDivisibleError(f"{p} / {q} has non-integer quotient coefficients")
             quot[i] = t
             for j in range(dq):
                 rem[i + j] -= t * qc[j]
@@ -369,42 +339,6 @@ def _div_exact_unit_lead(p: IntPoly, q: IntPoly) -> IntPoly:
     if any(rem):
         raise NotDivisibleError(f"{p} is not divisible by {q}")
     return IntPoly(quot)
-
-
-def _div_exact_rational(p: IntPoly, q: IntPoly) -> IntPoly:
-    rem = [Fraction(c) for c in p.coeffs]
-    qc = q.coeffs
-    dq = q.degree()
-    lead = qc[-1]
-    quot = [Fraction(0)] * (p.degree() - dq + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + dq]
-        if c:
-            t = c / lead
-            quot[i] = t
-            for j in range(dq):
-                rem[i + j] -= t * qc[j]
-            rem[i + dq] = Fraction(0)
-    if any(rem):
-        raise NotDivisibleError(f"{p} is not divisible by {q}: nonzero remainder")
-    if any(t.denominator != 1 for t in quot):
-        raise NotDivisibleError(f"{p} / {q} has non-integer quotient coefficients")
-    return IntPoly(int(t) for t in quot)
-
-
-# -- evaluation helpers -----------------------------------------------------
-
-
-def eval_int(p: IntPoly, a: int) -> int:
-    return p.eval_int(a)
-
-
-def eval_rational(p: IntPoly, a: Fraction | int) -> Fraction:
-    return p.eval_rational(a)
-
-
-def eval_float(p: IntPoly, a: float) -> float:
-    return p.eval_float(a)
 
 
 # -- palindrome folding -----------------------------------------------------

@@ -8,11 +8,10 @@ needs.  Everything is exact; results are memoized per family.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, TypeVar
 
-from .errors import InternalInconsistencyError
-from .intpoly import IntPoly, X, div_exact
+from .errors import InternalInconsistencyError, env_int
+from .intpoly import ONE, IntPoly, div_exact
 
 T = TypeVar("T")
 
@@ -56,34 +55,38 @@ class SequenceCache:
         self._tables.clear()
 
 
-def _cache_from_env() -> SequenceCache:
-    raw = os.environ.get("SPREADPOLY_CACHE_MAX_INDEX")
-    return SequenceCache(int(raw) if raw else None)
-
-
-CACHE = _cache_from_env()
+CACHE = SequenceCache(env_int("SPREADPOLY_CACHE_MAX_INDEX", None, 0))
 
 
 def lucas(n: int) -> IntPoly:
     """The degree-n Lucas polynomial: L_0 = 2, L_1 = x, L_n = x*L_{n-1} - L_{n-2}.
 
+    Built from the closed form: the coefficient of x^(n-2k) is
+    (-1)^k * n/(n-k) * C(n-k, k).
+
     >>> str(lucas(4))
     '2 - 4*x^2 + x^4'
+    >>> str(lucas(5))
+    '5*x - 5*x^3 + x^5'
     """
     if n < 0:
         raise ValueError("lucas index must be non-negative")
-    got = CACHE.lookup("lucas", n)
-    if got is not _MISSING:
-        return got
-    a, b = IntPoly((2,)), X
+    return CACHE.get_or_compute("lucas", n, lambda: _lucas(n))
+
+
+def _lucas(n: int) -> IntPoly:
     if n == 0:
-        return CACHE.store("lucas", 0, a)
-    for k in range(2, n + 1):
-        c = CACHE.lookup("lucas", k)
-        if c is _MISSING:
-            c = CACHE.store("lucas", k, X * b - a)
-        a, b = b, c
-    return b
+        return IntPoly((2,))
+    # c_k = -c_{k-1} * (n-2k+2)(n-2k+1) / (k(n-k)), from c_0 = 1; each step
+    # divides exactly, a failure means the ratio was coded wrong.
+    coeffs = [0] * (n + 1)
+    c = coeffs[n] = 1
+    for k in range(1, n // 2 + 1):
+        c, r = divmod(-c * (n - 2 * k + 2) * (n - 2 * k + 1), k * (n - k))
+        if r:
+            raise InternalInconsistencyError(f"lucas coefficient ({n},{k}) is not an integer")
+        coeffs[n - 2 * k] = c
+    return IntPoly(coeffs)
 
 
 def cyclotomic(n: int) -> IntPoly:
@@ -100,9 +103,7 @@ def cyclotomic(n: int) -> IntPoly:
 def _cyclotomic(n: int) -> IntPoly:
     if n == 1:
         return IntPoly((-1, 1))
-    rest = IntPoly((1,))
-    for d in divisors(n)[:-1]:
-        rest = rest * cyclotomic(d)
+    rest = math.prod((cyclotomic(d) for d in divisors(n)[:-1]), start=ONE)
     return div_exact(IntPoly.monomial(n) - 1, rest)
 
 
@@ -167,21 +168,25 @@ def spread(n: int) -> IntPoly:
 
 
 def fibonacci(n: int) -> int:
-    """The n-th Fibonacci number, exact."""
+    """The n-th Fibonacci number, exact, by fast doubling.
+
+    >>> [fibonacci(n) for n in range(10)]
+    [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    """
     if n < 0:
         raise ValueError("fibonacci index must be non-negative")
-    got = CACHE.lookup("fibonacci", n)
-    if got is not _MISSING:
-        return got
+    return CACHE.get_or_compute("fibonacci", n, lambda: _fibonacci(n))
+
+
+def _fibonacci(n: int) -> int:
+    # (a, b) = (F_k, F_{k+1}) for k the leading bits of n read so far:
+    # F_2k = F_k(2F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2.
     a, b = 0, 1
-    if n == 0:
-        return CACHE.store("fibonacci", 0, 0)
-    for k in range(2, n + 1):
-        c = CACHE.lookup("fibonacci", k)
-        if c is _MISSING:
-            c = CACHE.store("fibonacci", k, a + b)
-        a, b = b, c
-    return b
+    for bit in f"{n:b}":
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def totient(n: int) -> int:

@@ -7,6 +7,7 @@ suites draw from a fixed seed so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,9 +136,7 @@ def _suite_lucas_difference_square_even(n_max: int, tol: float, instances: int) 
 
 def _suite_cyclotomic_completeness(n_max: int, tol: float, instances: int) -> Check:
     for n in range(1, min(200, n_max) + 1):
-        product = ONE
-        for d in divisors(n):
-            product = product * cyclotomic(d)
+        product = math.prod((cyclotomic(d) for d in divisors(n)), start=ONE)
         ok = product == IntPoly.monomial(n) - 1
         ok = ok and cyclotomic(n).degree() == totient(n)
         yield f"n={n}", ok
@@ -444,8 +443,8 @@ def run_verification(
     """Run every suite (or the named subset) and collect a report."""
     if sweep < 1:
         raise ValueError("sweep bound must be at least 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
     report = VerifyReport(sweep, tolerance)
     for name, _ in SUITES:
         if names is not None and name not in names:

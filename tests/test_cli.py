@@ -1,12 +1,19 @@
 """CLI behavior: rendering, record stability, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from spreadpoly import IntPoly, mul_karatsuba, mul_schoolbook
+from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook
 from spreadpoly.cli import main
+from spreadpoly.errors import env_int
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +198,76 @@ def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as excinfo:
         main(["show", "nosuchfamily", "3"])
     assert excinfo.value.code == 2
+
+
+def run_subprocess(overrides, *argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SPREADPOLY_")}
+    env["PYTHONPATH"] = str(SRC)
+    env.update(overrides)
+    return subprocess.run(
+        [sys.executable, "-m", "spreadpoly.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("SPREADPOLY_MUL_THRESHOLD", "0"),
+        ("SPREADPOLY_MUL_THRESHOLD", "abc"),
+        ("SPREADPOLY_CACHE_MAX_INDEX", "abc"),
+        ("SPREADPOLY_CACHE_MAX_INDEX", "-1"),
+    ],
+)
+def test_bad_import_knob_is_refused(name, value):
+    # Read when the package is imported, so refused before main runs.
+    proc = run_subprocess({name: value}, "factor", "40")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith(f"spreadpoly.errors.ConfigurationError: {name}={value!r}")
+    assert "RecursionError" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name,value,argv",
+    [
+        ("SPREADPOLY_MAX_INDEX", "abc", ("show", "phi", "7")),
+        ("SPREADPOLY_MAX_INDEX", "0", ("show", "phi", "7")),
+        ("SPREADPOLY_VERIFY_INSTANCES", "abc", ("verify", "--sweep", "3")),
+        ("SPREADPOLY_VERIFY_INSTANCES", "-5", ("verify", "--sweep", "3")),
+    ],
+)
+def test_bad_cli_knob_exits_with_error(name, value, argv):
+    proc = run_subprocess({name: value}, *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {name}={value!r} is invalid")
+    assert "Traceback" not in proc.stderr
+
+
+def test_good_knobs_are_applied():
+    proc = run_subprocess({"SPREADPOLY_MAX_INDEX": "10"}, "show", "phi", "20")
+    assert proc.returncode == 1
+    assert "exceeds the configured maximum 10" in proc.stderr
+    proc = run_subprocess(
+        {"SPREADPOLY_MUL_THRESHOLD": "2", "SPREADPOLY_CACHE_MAX_INDEX": "0"}, "show", "phi", "7"
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "-7 + 14*x - 7*x^2 + x^3"
+
+
+def test_env_int(monkeypatch):
+    monkeypatch.delenv("SPREADPOLY_TEST_KNOB", raising=False)
+    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
+    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "")
+    assert env_int("SPREADPOLY_TEST_KNOB", None, 1) is None
+    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "7")
+    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 7
+    for bad in ("0", "1.5", "seven"):
+        monkeypatch.setenv("SPREADPOLY_TEST_KNOB", bad)
+        with pytest.raises(ConfigurationError, match="SPREADPOLY_TEST_KNOB.*>= 1"):
+            env_int("SPREADPOLY_TEST_KNOB", 5, 1)

@@ -2,6 +2,7 @@
 
 import threading
 
+import spreadpoly.factor as factor_mod
 import spreadpoly.sequences as seq_mod
 from spreadpoly import SequenceCache, cross_check_phi, factor_zpread, lucas, psi
 
@@ -45,6 +46,23 @@ def test_racing_writers_keep_cache_consistent():
         t.join()
     assert seen == [13] * 16
     assert cache.table("fib") == {7: 13}
+
+
+def test_corrupted_phi_is_invisible_to_other_threads():
+    errors = []
+
+    def worker():
+        try:
+            cross_check_phi(9)
+        except Exception as exc:  # surface in the main thread
+            errors.append(exc)
+
+    with factor_mod.corrupted_phi(9):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert not errors
 
 
 def test_fresh_cache_matches_warm_cache():

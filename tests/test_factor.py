@@ -253,6 +253,9 @@ def test_float_root_check_guard():
         float_root_check(2, 1e-9)
     with pytest.raises(ValueError):
         float_root_check(5, 0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            float_root_check(5, tol)
     with pytest.raises(ToleranceExceededError) as excinfo:
         float_root_check(7, 1e-300)
     assert excinfo.value.n == 7

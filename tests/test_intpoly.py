@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spreadpoly.factor
 import spreadpoly.intpoly
+import spreadpoly.sequences
 from spreadpoly import (
     IntPoly,
     NotDivisibleError,
@@ -31,8 +33,9 @@ small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-20, max_value=2
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(spreadpoly.intpoly)
-    assert failures == 0
+    for module in (spreadpoly.intpoly, spreadpoly.sequences, spreadpoly.factor):
+        failures, attempted = doctest.testmod(module)
+        assert attempted > 0 and failures == 0, module.__name__
 
 
 def test_normalization_strips_trailing_zeros():
@@ -135,6 +138,44 @@ def test_div_zero_numerator():
 def test_div_round_trip(p, q):
     if not q.is_zero():
         assert div_exact(p * q, q) == p
+
+
+def fraction_div(p, q):
+    """Long division over the rationals: the quotient, or None unless q divides p in Z[x]."""
+    rem = [Fraction(c) for c in p.coeffs]
+    dq = q.degree()
+    quot = [Fraction(0)] * max(p.degree() - dq + 1, 0)
+    for i in reversed(range(len(quot))):
+        t = rem[i + dq] / q.leading_coefficient()
+        quot[i] = t
+        for j, c in enumerate(q.coeffs):
+            rem[i + j] -= t * c
+    if any(rem) or any(t.denominator != 1 for t in quot):
+        return None
+    return IntPoly(int(t) for t in quot)
+
+
+wide_coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from((10**30, -(10**30))),
+)
+wide_polys = st.builds(IntPoly, st.lists(wide_coeffs, max_size=8))
+
+
+@given(p=wide_polys, q=wide_polys.filter(lambda q: not q.is_zero()), r=wide_polys)
+@settings(max_examples=300)
+def test_div_exact_matches_fraction_oracle(p, q, r):
+    # Exact multiples, multiples plus a remainder below deg q or of any
+    # degree, and arbitrary dividends.
+    low = IntPoly(r.coeffs[: q.degree()])
+    for a in (p * q, p * q + low, p * q + r, p):
+        expected = fraction_div(a, q)
+        if expected is None:
+            with pytest.raises(NotDivisibleError):
+                div_exact(a, q)
+        else:
+            assert div_exact(a, q) == expected
 
 
 def test_compose_examples():

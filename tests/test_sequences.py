@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import spreadpoly.sequences as seq_mod
 from spreadpoly import (
     IntPoly,
     SequenceCache,
@@ -56,8 +57,15 @@ def test_lucas_golden(n, coeffs):
 
 
 def test_lucas_recursion_holds():
-    for n in range(2, 40):
+    for n in range(2, 400):
         assert lucas(n) == IntPoly((0, 1)) * lucas(n - 1) - lucas(n - 2)
+
+
+def test_lucas_caches_only_the_requested_index():
+    # The closed form needs no lower index, so none is left in the cache.
+    seq_mod.CACHE.clear()
+    lucas(2000)
+    assert list(seq_mod.CACHE.table("lucas")) == [2000]
 
 
 def test_lucas_rejects_negative():
@@ -139,7 +147,9 @@ def test_lucas_square_identities_small():
 
 def test_fibonacci_sequence():
     assert [fibonacci(n) for n in range(9)] == [0, 1, 1, 2, 3, 5, 8, 13, 21]
-    assert fibonacci(100) == fibonacci(99) + fibonacci(98)
+    # Both parities of every fast-doubling step, against the recurrence.
+    for n in range(2, 2001):
+        assert fibonacci(n) == fibonacci(n - 1) + fibonacci(n - 2)
     assert math.gcd(fibonacci(100), fibonacci(60)) == fibonacci(20)
     with pytest.raises(ValueError):
         fibonacci(-1)

@@ -71,5 +71,8 @@ def test_bad_parameters():
         run_verification(sweep=0)
     with pytest.raises(ValueError):
         run_verification(tolerance=0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            run_verification(tolerance=tol)
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
