@@ -106,7 +106,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rng = random.Random(0xBE7C)
-    print(f"{'size':>6}  {'schoolbook':>12}  {'karatsuba':>12}  {'factor':>12}  {'crosscheck':>12}")
+    print(
+        f"{'size':>6}  {'schoolbook':>12}  {'karatsuba':>12}  {'kronecker':>12}"
+        f"  {'factor':>12}  {'crosscheck':>12}"
+    )
     for size in args.sizes:
         _check_bounds(size, args.max_n)
         p = IntPoly([rng.randint(-(10**9), 10**9) for _ in range(size)] + [1])
@@ -115,9 +118,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         school = mul_schoolbook(p, q)
         t_school = perf_counter() - start
         start = perf_counter()
-        fast = mul_karatsuba(p, q, 4)
-        t_fast = perf_counter() - start
-        if school != fast:
+        split = mul_karatsuba(p, q, 4)
+        t_split = perf_counter() - start
+        start = perf_counter()
+        default = p * q
+        t_default = perf_counter() - start
+        if not school == split == default:
             raise SpreadPolyError(f"multiplication paths disagree at size {size}")
         start = perf_counter()
         factor_mod.factor_zpread(size)
@@ -126,7 +132,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         factor_mod.cross_check_phi(size)
         t_cross = perf_counter() - start
         print(
-            f"{size:>6}  {t_school:>11.4f}s  {t_fast:>11.4f}s"
+            f"{size:>6}  {t_school:>11.4f}s  {t_split:>11.4f}s  {t_default:>11.4f}s"
             f"  {t_factor:>11.4f}s  {t_cross:>11.4f}s"
         )
     return 0

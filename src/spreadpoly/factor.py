@@ -22,7 +22,7 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-from .intpoly import ONE, IntPoly, X, div_exact, palindrome_fold
+from .intpoly import IntPoly, X, div_exact, palindrome_fold, product
 from .sequences import CACHE, cyclotomic, divisors, lucas, totient, zpread
 
 
@@ -102,7 +102,7 @@ def phi_odd_lucas(m: int) -> IntPoly:
 def _phi_odd_lucas(m: int) -> IntPoly:
     if m == 1:
         return X
-    den = math.prod((phi_odd_lucas(d).stretch(2) for d in divisors(m)[1:-1]), start=X)
+    den = product((phi_odd_lucas(d).stretch(2) for d in divisors(m)[1:-1]), start=X)
     squared = div_exact(lucas(m), den)
     return _unstretch2(squared, m)
 
@@ -312,13 +312,13 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
     if n < 1:
         raise ValueError("index must be positive")
     factors = tuple(Factor(d, 1, capital_phi(d, route)) for d in divisors(n))
-    product = math.prod((f.poly for f in factors), start=ONE)
+    assembled = product(f.poly for f in factors)
     expected = zpread(n)
-    if product != expected:
+    if assembled != expected:
         raise VerificationFailureError(
-            f"zpread factor product mismatch at n={n}: {product} != {expected}"
+            f"zpread factor product mismatch at n={n}: {assembled} != {expected}"
         )
-    return FactorizationRecord("zpread", n, factors, product)
+    return FactorizationRecord("zpread", n, factors, assembled)
 
 
 def factor_lucas_minus2(n: int) -> FactorizationRecord:
@@ -326,13 +326,13 @@ def factor_lucas_minus2(n: int) -> FactorizationRecord:
     if n < 1:
         raise ValueError("index must be positive")
     factors = tuple(Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n))
-    product = math.prod((f.poly**f.multiplicity for f in factors), start=ONE)
+    assembled = product(f.poly**f.multiplicity for f in factors)
     expected = lucas(n) - 2
-    if product != expected:
+    if assembled != expected:
         raise VerificationFailureError(
-            f"Lucas factor product mismatch at n={n}: {product} != {expected}"
+            f"Lucas factor product mismatch at n={n}: {assembled} != {expected}"
         )
-    return FactorizationRecord("lucas_minus_2", n, factors, product)
+    return FactorizationRecord("lucas_minus_2", n, factors, assembled)
 
 
 @dataclass(frozen=True)

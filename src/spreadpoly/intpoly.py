@@ -11,22 +11,36 @@ positive denominator) are exactly what the evaluation routines need.
 
 from __future__ import annotations
 
+import decimal
+import heapq
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import NotDivisibleError, NotPalindromicError, OddDegreeError, env_int
+from .errors import (
+    InternalInconsistencyError,
+    NotDivisibleError,
+    NotPalindromicError,
+    OddDegreeError,
+    env_int,
+)
 
 _mul_threshold = env_int("SPREADPOLY_MUL_THRESHOLD", 32, 1)
 
 
 def get_mul_threshold() -> int:
-    """Coefficient count at or below which products use the schoolbook path."""
+    """Coefficient count at or below which products use the schoolbook path.
+
+    Products whose shorter operand is longer go through Kronecker
+    substitution.
+    """
     return _mul_threshold
 
 
 def set_mul_threshold(value: int) -> None:
-    """Override the schoolbook/divide-and-conquer switchover (must be >= 1)."""
+    """Override the schoolbook/Kronecker switchover (must be >= 1)."""
     global _mul_threshold
     if value < 1:
         raise ValueError("multiplication threshold must be at least 1")
@@ -125,9 +139,12 @@ class IntPoly:
             return IntPoly(tuple(c * other for c in self._coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return ZERO
-        return IntPoly(_mul_dispatch(self._coeffs, other._coeffs, _mul_threshold))
+        if min(len(a), len(b)) <= _mul_threshold:
+            return IntPoly(_mul_schoolbook(a, b))
+        return IntPoly(_mul_kronecker(a, b))
 
     __rmul__ = __mul__
 
@@ -214,10 +231,10 @@ class IntPoly:
                 continue
             mag = abs(c)
             if k == 0:
-                term = str(mag)
+                term = int_to_digits(mag)
             else:
                 var = "x" if k == 1 else f"x^{k}"
-                term = var if mag == 1 else f"{mag}*{var}"
+                term = var if mag == 1 else f"{int_to_digits(mag)}*{var}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -226,16 +243,59 @@ class IntPoly:
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients as decimal strings, so any size survives serialization."""
-        return [str(c) for c in self._coeffs]
+        return [int_to_digits(c) for c in self._coeffs]
 
     @classmethod
     def from_coefficient_strings(cls, strings: Iterable[str]) -> IntPoly:
-        return cls(int(s) for s in strings)
+        return cls(int_from_digits(s) for s in strings)
 
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 X = IntPoly((0, 1))
+
+
+def product(polys: Iterable[IntPoly], start: IntPoly = ONE) -> IntPoly:
+    """``start`` times every polynomial in ``polys``, by a size-balanced tree.
+
+    The two shortest operands are multiplied first and their product goes
+    back into the pool, so the large products come last and have operands
+    of similar size.
+
+    >>> str(product([X - 1, X + 1, X]))
+    '-x + x^3'
+    """
+    pool = [(len(p.coeffs), i, p) for i, p in enumerate((start, *polys))]
+    heapq.heapify(pool)
+    for i in range(len(pool), 2 * len(pool) - 1):
+        _, _, p = heapq.heappop(pool)
+        _, _, q = heapq.heappop(pool)
+        r = p * q
+        heapq.heappush(pool, (len(r.coeffs), i, r))
+    return pool[0][2]
+
+
+# -- decimal digit strings ---------------------------------------------------
+
+_DIGIT_STRING = re.compile(r"[+-]?[0-9]+")
+
+
+def int_to_digits(c: int) -> str:
+    """``str(c)``, also beyond the interpreter's limit on converted digits."""
+    try:
+        return str(c)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return str(Decimal(c))
+
+
+def int_from_digits(s: str) -> int:
+    """``int(s)``, also beyond the interpreter's limit on converted digits."""
+    try:
+        return int(s)
+    except ValueError:
+        if not _DIGIT_STRING.fullmatch(s):
+            raise
+        return int(Decimal(s))
 
 
 # -- multiplication kernels ----------------------------------------------
@@ -248,6 +308,65 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    # Kronecker substitution at x = 10^k: each coefficient fills a slot of k
+    # decimal digits, with 10^k > 2 * max|a| * max|b| * min(len), so every
+    # product coefficient lies strictly between -10^k/2 and 10^k/2 and the
+    # slots can be read back one by one.  libmpdec multiplies the two packed
+    # numbers (by number-theoretic transform when they are large), and a
+    # decimal packing makes packing and unpacking linear-time string work.
+    bound = 2 * max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    k = bound.bit_length() * 30103 // 100000 + 1  # 30103/10^5 > log10(2)
+    # The packed operands are freed before unpacking, so the memory peak
+    # stays that of the multiplication.
+    return _kronecker_unpack(_kronecker_product(a, b, k), k, len(a) + len(b) - 1)
+
+
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], k: int) -> Decimal:
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    try:
+        packed_a = _kronecker_pack(a, k, ctx)
+        packed_b = packed_a if b is a else _kronecker_pack(b, k, ctx)
+        return ctx.multiply(packed_a, packed_b)
+    except (decimal.Inexact, decimal.Rounded) as exc:
+        raise InternalInconsistencyError("Kronecker product was rounded") from exc
+
+
+def _kronecker_pack(cs: tuple[int, ...], k: int, ctx: decimal.Context) -> Decimal:
+    # The value sum(c_i * 10^(k*i)) as one digit string: a negative c_i
+    # fills its slot with c_i + 10^k and borrows 1 from the slot above.
+    base = 10**k
+    slots = []
+    borrow = False
+    for c in cs:
+        c -= borrow
+        borrow = c < 0
+        slots.append(int_to_digits(c + base if borrow else c).zfill(k))
+    slots.reverse()
+    packed = Decimal("".join(slots))
+    return ctx.subtract(packed, Decimal(f"1E{k * len(cs)}")) if borrow else packed
+
+
+def _kronecker_unpack(packed: Decimal, k: int, length: int) -> list[int]:
+    # Undo the borrows of the packed product, lowest slot first (the last k
+    # digits of the string); a slot at or above 10^k/2 holds a negative c_i.
+    digits = str(packed.copy_abs()).zfill(length * k)
+    base = 10**k
+    half = base // 2
+    out = []
+    borrow = False
+    for i in range((length - 1) * k, -1, -k):
+        c = int_from_digits(digits[i : i + k]) + borrow
+        borrow = c >= half
+        out.append(c - base if borrow else c)
+    return [-c for c in out] if packed.is_signed() else out
 
 
 def _seq_add(a, b) -> list[int]:

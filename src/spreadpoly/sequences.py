@@ -11,7 +11,7 @@ import math
 from typing import Callable, TypeVar
 
 from .errors import InternalInconsistencyError, env_int
-from .intpoly import ONE, IntPoly, div_exact
+from .intpoly import IntPoly, div_exact, product
 
 T = TypeVar("T")
 
@@ -103,15 +103,16 @@ def cyclotomic(n: int) -> IntPoly:
 def _cyclotomic(n: int) -> IntPoly:
     if n == 1:
         return IntPoly((-1, 1))
-    rest = math.prod((cyclotomic(d) for d in divisors(n)[:-1]), start=ONE)
+    rest = product(cyclotomic(d) for d in divisors(n)[:-1])
     return div_exact(IntPoly.monomial(n) - 1, rest)
 
 
 def zpread(n: int) -> IntPoly:
     """The degree-n zpread polynomial from its closed-form coefficients.
 
-    The coefficient of x^k is (-1)^(k-1) * C(n+k-1, n-k) * n/k; the division
-    by k is checked exact, a failure means the formula was coded wrong.
+    The coefficient of x^k is (-1)^(k-1) * C(n+k-1, n-k) * n/k, built by a
+    running ratio whose divisions are checked exact; a failure means the
+    formula was coded wrong.
 
     >>> str(zpread(3))
     '9*x - 6*x^2 + x^3'
@@ -122,16 +123,16 @@ def zpread(n: int) -> IntPoly:
 
 
 def _zpread(n: int) -> IntPoly:
+    # u_k = C(n+k-1, n-k) from u_1 = C(n, n-1), stepping by
+    # u_{k+1} = u_k * (n+k)(n-k) / ((2k+1)(2k)).
     coeffs = [0] * (n + 1)
-    sign = 1
+    u = math.comb(n, n - 1)
     for k in range(1, n + 1):
-        t = math.comb(n + k - 1, n - k) * n
-        if t % k:
-            raise InternalInconsistencyError(
-                f"zpread coefficient ({n},{k}) is not an integer"
-            )
-        coeffs[k] = sign * (t // k)
-        sign = -sign
+        c, r = divmod(u * n, k)
+        u, s = divmod(u * (n + k) * (n - k), (2 * k + 1) * (2 * k))
+        if r or s:
+            raise InternalInconsistencyError(f"zpread coefficient ({n},{k}) is not an integer")
+        coeffs[k] = c if k % 2 else -c
     return IntPoly(coeffs)
 
 

@@ -25,6 +25,7 @@ from .intpoly import (
     mul_karatsuba,
     mul_schoolbook,
     palindrome_fold,
+    product,
 )
 from .sequences import cyclotomic, divisors, fibonacci, lucas, totient, zpread
 
@@ -136,8 +137,7 @@ def _suite_lucas_difference_square_even(n_max: int, tol: float, instances: int) 
 
 def _suite_cyclotomic_completeness(n_max: int, tol: float, instances: int) -> Check:
     for n in range(1, min(200, n_max) + 1):
-        product = math.prod((cyclotomic(d) for d in divisors(n)), start=ONE)
-        ok = product == IntPoly.monomial(n) - 1
+        ok = product(cyclotomic(d) for d in divisors(n)) == IntPoly.monomial(n) - 1
         ok = ok and cyclotomic(n).degree() == totient(n)
         yield f"n={n}", ok
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook
+from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread
 from spreadpoly.cli import main
 from spreadpoly.errors import env_int
 
@@ -174,6 +174,20 @@ def test_bench_completes(capsys):
     assert elapsed < 60
 
 
+def test_bench_refuses_disagreeing_paths(capsys, monkeypatch):
+    import spreadpoly.intpoly as intpoly_mod
+
+    def off_by_one(a, b):
+        out = intpoly_mod._mul_schoolbook(a, b)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(intpoly_mod, "_mul_kronecker", off_by_one)
+    code, _, err = run_cli(capsys, "bench", "64")
+    assert code == 1
+    assert "multiplication paths disagree at size 64" in err
+
+
 def test_karatsuba_not_catastrophically_slower():
     coeffs = list(range(1, 258))
     p = IntPoly(coeffs)
@@ -271,3 +285,17 @@ def test_env_int(monkeypatch):
         monkeypatch.setenv("SPREADPOLY_TEST_KNOB", bad)
         with pytest.raises(ConfigurationError, match="SPREADPOLY_TEST_KNOB.*>= 1"):
             env_int("SPREADPOLY_TEST_KNOB", 5, 1)
+
+
+def test_show_spread_beyond_the_digit_limit(capsys):
+    # spread(6000) has coefficients of more than 4300 digits, CPython's
+    # default limit on int/str conversion since 3.11.
+    argv = ("show", "spread", "6000", "--format", "record")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    coefficients = json.loads(out)["coefficients"]
+    assert max(map(len, coefficients)) > 4300
+    assert IntPoly.from_coefficient_strings(coefficients) == spread(6000)
+    proc = run_subprocess({"PYTHONINTMAXSTRDIGITS": "640"}, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out

@@ -2,6 +2,7 @@
 
 import doctest
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import spreadpoly.factor
 import spreadpoly.intpoly
 import spreadpoly.sequences
+from spreadpoly.intpoly import _mul_kronecker, _mul_schoolbook, int_from_digits, int_to_digits, product
 from spreadpoly import (
     IntPoly,
     NotDivisibleError,
@@ -98,6 +100,120 @@ def test_mul_threshold_configuration():
             set_mul_threshold(0)
     finally:
         set_mul_threshold(old)
+
+
+# Coefficients for the Kronecker kernel: zeros, tiny values of either sign
+# and values wide enough to need slots of dozens of digits.
+kernel_coeffs = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**40), max_value=10**40),
+)
+
+
+def kernel_operands(threshold):
+    # Lengths at the edges of the schoolbook/Kronecker switch, plus any up to
+    # twice the threshold; the leading coefficient may be negative.
+    length = st.one_of(
+        st.sampled_from((1, threshold, threshold + 1)),
+        st.integers(min_value=1, max_value=2 * threshold),
+    )
+    return length.flatmap(
+        lambda n: st.tuples(
+            st.lists(kernel_coeffs, min_size=n - 1, max_size=n - 1),
+            kernel_coeffs.filter(bool),
+        ).map(lambda body_lead: tuple(body_lead[0]) + (body_lead[1],))
+    )
+
+
+@given(a=kernel_operands(32), b=kernel_operands(32))
+@settings(max_examples=120, deadline=None)
+def test_kronecker_matches_schoolbook(a, b):
+    expected = _mul_schoolbook(a, b)
+    assert _mul_kronecker(a, b) == expected
+    assert IntPoly(a) * IntPoly(b) == IntPoly(expected)
+    p = IntPoly(a)
+    assert p * p == IntPoly(_mul_kronecker(a, a)) == mul_schoolbook(p, p)
+
+
+@given(p=small_polys, q=small_polys)
+@settings(max_examples=150)
+def test_kronecker_on_tiny_operands(p, q):
+    old = get_mul_threshold()
+    try:
+        set_mul_threshold(1)  # every product of two non-constants is Kronecker
+        assert p * q == mul_schoolbook(p, q)
+        assert p * p == mul_schoolbook(p, p)
+    finally:
+        set_mul_threshold(old)
+
+
+def test_kronecker_unbalanced_shapes():
+    rng = random.Random(40)
+    short = IntPoly([rng.randint(-(10**12), 10**12) for _ in range(40)])
+    long = IntPoly([rng.choice((0, rng.randint(-9, 9))) for _ in range(1999)] + [-1])
+    assert short * long == mul_schoolbook(short, long)
+    assert long * short == mul_schoolbook(short, long)
+
+
+def test_kronecker_at_the_slot_bound():
+    # Operands of equal magnitude make the middle product coefficients as
+    # large as the slot width allows: min(len) * max|a| * max|b|.
+    for m in (1, 9, 10**40 - 1, 10**40):
+        for a, b in (((m,) * 33, (m,) * 40), ((m,) * 33, (-m,) * 35), ((-m, m) * 20, (m, -m) * 17)):
+            assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+            assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+
+
+def test_kronecker_beyond_the_digit_limit():
+    # Coefficients of about 5000 digits, so both the packed slots and the
+    # product slots are wider than CPython's default 4300-digit conversion
+    # limit (Python 3.11 and later).
+    rng = random.Random(4300)
+    big = 10**5000
+    a = IntPoly([rng.choice((-1, 0, 1)) * (big + rng.randint(0, 10**9)) for _ in range(33)] + [-big])
+    b = IntPoly([rng.randint(-5, 5) * big for _ in range(33)] + [big + 7])
+    assert a * b == mul_schoolbook(a, b)
+    assert a * a == mul_schoolbook(a, a)
+
+
+def left_fold(polys, start=ONE):
+    result = start
+    for p in polys:
+        result = result * p
+    return result
+
+
+kernel_polys = st.builds(IntPoly, st.lists(kernel_coeffs, max_size=40))
+
+
+@given(ps=st.lists(kernel_polys, max_size=9), start=kernel_polys)
+@settings(max_examples=100, deadline=None)
+def test_product_matches_left_fold(ps, start):
+    assert product(ps) == left_fold(ps)
+    assert product(iter(ps), start=start) == left_fold(ps, start)
+
+
+def test_product_edge_cases():
+    assert product([]) == ONE
+    assert product([], start=X) == X
+    assert product(iter(())) == ONE
+    assert product([X - 1, ZERO, X]) == ZERO
+    assert product([X + 1], start=X) == X * (X + 1)
+
+
+def test_digit_strings_beyond_the_limit():
+    cases = {0: "0", -7: "-7", 10**4500 + 3: "1" + "0" * 4499 + "3", 1 - 10**12000: "-" + "9" * 12000}
+    for value, text in cases.items():
+        assert int_to_digits(value) == text
+        assert int_from_digits(text) == value
+    assert int_from_digits("+" + "9" * 5000) == 10**5000 - 1
+    wide = IntPoly((-(10**5000), 0, 10**4400))
+    assert wide.to_text() == f"-1{'0' * 5000} + 1{'0' * 4400}*x^2"
+    assert IntPoly.from_coefficient_strings(wide.coefficient_strings()) == wide
+    for bad in ("", "12a", "1e" + "0" * 5000, "5" * 4000 + "." + "5" * 1000):
+        with pytest.raises(ValueError):
+            int_from_digits(bad)
 
 
 def test_div_exact_examples():

@@ -100,8 +100,8 @@ def test_zpread_golden(n, coeffs):
 
 
 def test_zpread_routes_agree_small():
-    for n in range(1, 61):
-        assert zpread(n) == zpread_via_lucas(n)
+    for n in [*range(1, 301), 720, 1260]:
+        assert seq_mod._zpread(n) == zpread_via_lucas(n), n
 
 
 def test_zpread_vanishes_at_origin():
@@ -195,6 +195,17 @@ def test_zpread_integrality_guard(monkeypatch):
     monkeypatch.setattr(seq_mod, "math", broken)
     with pytest.raises(InternalInconsistencyError):
         seq_mod._zpread(4)
+
+
+def test_zpread_recurrence_step_guard(monkeypatch):
+    # With C(2, 1) replaced by 1, the step to u_2 = 1*3*1/6 is inexact while
+    # every coefficient division stays exact, so only the step check fires.
+    from spreadpoly import InternalInconsistencyError
+
+    broken = type("M", (), {"comb": staticmethod(lambda a, b: 1)})
+    monkeypatch.setattr(seq_mod, "math", broken)
+    with pytest.raises(InternalInconsistencyError):
+        seq_mod._zpread(2)
 
 
 def test_cache_max_index_knob():
