@@ -18,7 +18,7 @@ from . import fib as fib_mod
 from . import sequences, verify
 from .errors import OutOfBoundsError, SpreadPolyError, env_int
 from .factor import PhiRoute
-from .intpoly import IntPoly, mul_karatsuba, mul_schoolbook
+from .intpoly import IntPoly, _compose_horner, mul_karatsuba, mul_schoolbook
 
 DEFAULT_MAX_INDEX = 10_000
 
@@ -108,8 +108,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rng = random.Random(0xBE7C)
     print(
         f"{'size':>6}  {'schoolbook':>12}  {'karatsuba':>12}  {'kronecker':>12}"
-        f"  {'factor':>12}  {'crosscheck':>12}"
+        f"  {'reflect':>12}  {'factor':>12}  {'crosscheck':>12}"
     )
+    two_minus_x = IntPoly((2, -1))
     for size in args.sizes:
         _check_bounds(size, args.max_n)
         p = IntPoly([rng.randint(-(10**9), 10**9) for _ in range(size)] + [1])
@@ -126,6 +127,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not school == split == default:
             raise SpreadPolyError(f"multiplication paths disagree at size {size}")
         start = perf_counter()
+        reflected = p.compose(two_minus_x)
+        t_reflect = perf_counter() - start
+        if reflected != _compose_horner(p, two_minus_x):
+            raise SpreadPolyError(f"reflection paths disagree at size {size}")
+        start = perf_counter()
         factor_mod.factor_zpread(size)
         t_factor = perf_counter() - start
         start = perf_counter()
@@ -133,7 +139,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         t_cross = perf_counter() - start
         print(
             f"{size:>6}  {t_school:>11.4f}s  {t_split:>11.4f}s  {t_default:>11.4f}s"
-            f"  {t_factor:>11.4f}s  {t_cross:>11.4f}s"
+            f"  {t_reflect:>11.4f}s  {t_factor:>11.4f}s  {t_cross:>11.4f}s"
         )
     return 0
 

@@ -15,6 +15,7 @@ import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 
 from .errors import (
     OddTermPresentError,
@@ -29,9 +30,9 @@ from .sequences import CACHE, cyclotomic, divisors, lucas, totient, zpread
 def psi(n: int) -> IntPoly:
     """Minimal polynomial of 2*cos(2*pi/n); monic of degree totient(n)/2 for n >= 3.
 
-    Built by folding the n-th cyclotomic polynomial and re-expanding the
-    central weights in the Lucas basis, with c_0 emitted as a plain
-    constant.
+    Built by folding the n-th cyclotomic polynomial into its central
+    weights c_k and summing c_0 + sum_{k>=1} c_k * L_k by the Clenshaw
+    recurrence, so no Lucas polynomial is built or cached.
 
     >>> str(psi(9))
     '1 - 3*x + x^3'
@@ -46,13 +47,15 @@ def _psi(n: int) -> IntPoly:
         return IntPoly((-2, 1))
     if n == 2:
         return IntPoly((2, 1))
-    fold = palindrome_fold(cyclotomic(n))
-    c = fold.lucas_coeffs
-    result = IntPoly((c[0],))
-    for k in range(1, len(c)):
-        if c[k]:
-            result = result + c[k] * lucas(k)
-    return result
+    c = palindrome_fold(cyclotomic(n)).lucas_coeffs
+    # Clenshaw for L_k = x*L_{k-1} - L_{k-2}: b_k = c_k + x*b_{k+1} - b_{k+2}
+    # from b_{m+1} = b_{m+2} = 0, and the sum is c_0 + x*b_1 - 2*b_2 because
+    # L_1 = x and L_0 = 2.  b_k has degree m - k for m = len(c) - 1.
+    b1: list[int] = []
+    b2: list[int] = []
+    for k in range(len(c) - 1, 0, -1):
+        b1, b2 = [u - v for u, v in zip_longest(chain((c[k],), b1), b2, fillvalue=0)], b1
+    return IntPoly(u - 2 * v for u, v in zip_longest(chain((c[0],), b1), b2, fillvalue=0))
 
 
 def phi_min(n: int) -> IntPoly:

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -171,11 +172,17 @@ class IntPoly:
     # -- composition and evaluation ------------------------------------------
 
     def compose(self, inner: IntPoly) -> IntPoly:
-        """Substitute ``inner`` for the variable, by Horner accumulation."""
-        result = ZERO
-        for c in reversed(self._coeffs):
-            result = result * inner + c
-        return result
+        """Substitute ``inner`` for the variable.
+
+        A linear ``inner`` a + b*x is a Taylor shift on coefficient lists;
+        any other ``inner`` goes through Horner accumulation of polynomials.
+
+        >>> str(IntPoly((-3, 1)).compose(IntPoly((4, -1))))
+        '1 - x'
+        """
+        if len(inner._coeffs) == 2:
+            return IntPoly(_compose_linear(self._coeffs, *inner._coeffs))
+        return _compose_horner(self, inner)
 
     def stretch(self, k: int) -> IntPoly:
         """Substitute x^k for x by spreading coefficients; exact and cheap.
@@ -219,7 +226,7 @@ class IntPoly:
         return self.to_text()
 
     def __repr__(self) -> str:
-        return f"IntPoly({list(self._coeffs)!r})"
+        return f"IntPoly([{', '.join(map(int_to_digits, self._coeffs))}])"
 
     def to_text(self) -> str:
         """Canonical text form, ascending degree: '9*x - 6*x^2 + x^3'."""
@@ -367,6 +374,27 @@ def _kronecker_unpack(packed: Decimal, k: int, length: int) -> list[int]:
         borrow = c >= half
         out.append(c - base if borrow else c)
     return [-c for c in out] if packed.is_signed() else out
+
+
+def _compose_horner(p: IntPoly, inner: IntPoly) -> IntPoly:
+    result = ZERO
+    for c in reversed(p.coeffs):
+        result = result * inner + c
+    return result
+
+
+def _compose_linear(cs: tuple[int, ...], a: int, b: int) -> list[int]:
+    # Horner in lists, r <- r*(x + a) + c, gives p(x + a) with one product
+    # per coefficient and step; then x^k picks up b^k to make p(a + b*x).
+    r: list[int] = []
+    for c in reversed(cs):
+        r.append(0)
+        r = [u + a * v for u, v in zip(chain((c,), r), r)]
+    scale = 1
+    for k in range(1, len(r)):
+        scale *= b
+        r[k] *= scale
+    return r
 
 
 def _seq_add(a, b) -> list[int]:

@@ -11,7 +11,7 @@ import math
 from typing import Callable, TypeVar
 
 from .errors import InternalInconsistencyError, env_int
-from .intpoly import IntPoly, div_exact, product
+from .intpoly import IntPoly
 
 T = TypeVar("T")
 
@@ -90,7 +90,12 @@ def _lucas(n: int) -> IntPoly:
 
 
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1.
+    """The n-th cyclotomic polynomial, by the Moebius product.
+
+    Phi_n(x) = Phi_s(x^(n/s)) for s the product of the distinct primes of
+    n, and Phi_s is the product of (x^d - 1)^mu(s/d) over the divisors d
+    of s: each binomial with mu = +1 is multiplied in, then each with
+    mu = -1 divided out exactly.
 
     >>> str(cyclotomic(6))
     '1 - x + x^2'
@@ -101,10 +106,37 @@ def cyclotomic(n: int) -> IntPoly:
 
 
 def _cyclotomic(n: int) -> IntPoly:
-    if n == 1:
-        return IntPoly((-1, 1))
-    rest = product(cyclotomic(d) for d in divisors(n)[:-1])
-    return div_exact(IntPoly.monomial(n) - 1, rest)
+    s = 1
+    mobius = [(1, 1)]  # (e, mu(e)) for every divisor e of s
+    for p in _prime_factors(n):
+        s *= p
+        mobius += [(e * p, -mu) for e, mu in mobius]
+    coeffs = [1]
+    for e, mu in sorted(mobius, key=lambda pair: -pair[1]):
+        coeffs = _times_binomial(coeffs, s // e, mu)
+    return IntPoly(coeffs).stretch(n // s)
+
+
+def _times_binomial(f: list[int], d: int, mu: int) -> list[int]:
+    """f * (x^d - 1) for mu = 1, or f / (x^d - 1) for mu = -1.
+
+    The division must be exact; a remainder means the product was built
+    wrong and raises InternalInconsistencyError.
+    """
+    if mu == 1:
+        out = [0] * d + f
+        for i, c in enumerate(f):
+            out[i] -= c
+        return out
+    # f = q*(x^d - 1) gives q_i = q_{i-d} - f_i below degree m = deg f - d + 1,
+    # and f_i = q_{i-d} from there up: the top d coefficients must match.
+    m = len(f) - d
+    q = [-c for c in f[:m]]
+    for i in range(d, m):
+        q[i] += q[i - d]
+    if m < 1 or f[m:] != ([0] * d + q)[m:]:
+        raise InternalInconsistencyError(f"x^{d} - 1 does not divide the cyclotomic product")
+    return q
 
 
 def zpread(n: int) -> IntPoly:
@@ -195,17 +227,24 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValueError("totient argument must be positive")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n in ascending order, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def divisors(n: int) -> list[int]:

@@ -188,6 +188,22 @@ def test_bench_refuses_disagreeing_paths(capsys, monkeypatch):
     assert "multiplication paths disagree at size 64" in err
 
 
+def test_bench_refuses_disagreeing_reflection(capsys, monkeypatch):
+    import spreadpoly.intpoly as intpoly_mod
+
+    real = intpoly_mod._compose_linear
+
+    def off_by_one(cs, a, b):
+        out = real(cs, a, b)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(intpoly_mod, "_compose_linear", off_by_one)
+    code, _, err = run_cli(capsys, "bench", "64")
+    assert code == 1
+    assert "reflection paths disagree at size 64" in err
+
+
 def test_karatsuba_not_catastrophically_slower():
     coeffs = list(range(1, 258))
     p = IntPoly(coeffs)

@@ -1,5 +1,7 @@
 """Factor engine tests: minimal polynomials, routes, verified factorizations."""
 
+import tracemalloc
+
 import pytest
 
 import spreadpoly.factor as factor_mod
@@ -11,10 +13,12 @@ from spreadpoly import (
     VerificationFailureError,
     capital_phi,
     cross_check_phi,
+    cyclotomic,
     factor_lucas_minus2,
     factor_zpread,
     float_root_check,
     lucas,
+    palindrome_fold,
     phi_composed,
     phi_min,
     phi_odd_lucas,
@@ -23,6 +27,7 @@ from spreadpoly import (
     totient,
     zpread,
 )
+from spreadpoly.sequences import CACHE
 
 PSI_TABLE = {
     1: (-2, 1),
@@ -76,6 +81,40 @@ def test_psi_phi_shape():
         assert phi_min(n).degree() == half
         assert phi_min(n).is_monic()
         assert capital_phi(n).degree() == totient(n)
+
+
+def lucas_sum_psi(n):
+    """psi_n as c_0 + sum of c_k * L_k over the folded cyclotomic weights, term by term."""
+    c = palindrome_fold(cyclotomic(n)).lucas_coeffs
+    result = IntPoly((c[0],))
+    for k in range(1, len(c)):
+        if c[k]:
+            result = result + c[k] * lucas(k)
+    return result
+
+
+def test_psi_matches_lucas_sum():
+    for n in [*range(3, 401), 720, 1260, 2520]:
+        assert psi(n) == lucas_sum_psi(n), n
+
+
+def test_psi_caches_no_lucas():
+    CACHE.clear()
+    psi(2003)
+    assert CACHE.table("lucas") == {}
+
+
+def test_psi_memory_is_bounded():
+    # A cold psi(4001) (degree 2000) holds only the Clenshaw rows, about
+    # 1 MB traced; caching every L_k it used took 134 MB.
+    CACHE.clear()
+    tracemalloc.start()
+    try:
+        psi(4001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_psi_equals_lucas_at_powers_of_two():

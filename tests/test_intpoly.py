@@ -6,13 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spreadpoly.factor
 import spreadpoly.intpoly
 import spreadpoly.sequences
-from spreadpoly.intpoly import _mul_kronecker, _mul_schoolbook, int_from_digits, int_to_digits, product
+from spreadpoly.intpoly import (
+    _compose_horner,
+    _mul_kronecker,
+    _mul_schoolbook,
+    int_from_digits,
+    int_to_digits,
+    product,
+)
 from spreadpoly import (
     IntPoly,
     NotDivisibleError,
@@ -211,6 +218,7 @@ def test_digit_strings_beyond_the_limit():
     wide = IntPoly((-(10**5000), 0, 10**4400))
     assert wide.to_text() == f"-1{'0' * 5000} + 1{'0' * 4400}*x^2"
     assert IntPoly.from_coefficient_strings(wide.coefficient_strings()) == wide
+    assert repr(wide) == f"IntPoly([-1{'0' * 5000}, 0, 1{'0' * 4400}])"
     for bad in ("", "12a", "1e" + "0" * 5000, "5" * 4000 + "." + "5" * 1000):
         with pytest.raises(ValueError):
             int_from_digits(bad)
@@ -299,6 +307,27 @@ def test_compose_examples():
     assert l2.compose(l3) == IntPoly((-2, 0, 9, 0, -6, 0, 1))
     # reflecting x - 3 through 4 - x
     assert IntPoly((-3, 1)).compose(IntPoly((4, -1))) == IntPoly((1, -1))
+
+
+# Inner polynomials a + b*x: the reflections the factor routes use, shifts
+# with b = +-1, pure scalings, and both coefficients up to 10^30 in size.
+linear_inners = st.one_of(
+    st.sampled_from(((2, -1), (4, -1), (0, 1), (0, -1))),
+    st.tuples(wide_coeffs, st.sampled_from((1, -1))),
+    st.tuples(st.just(0), wide_coeffs.filter(bool)),
+    st.tuples(wide_coeffs, wide_coeffs.filter(bool)),
+).map(IntPoly)
+HUGE = 10**5000  # past the default 4300-digit int/str conversion limit
+
+
+@given(p=st.builds(IntPoly, st.lists(wide_coeffs, max_size=40)), inner=linear_inners)
+@example(p=ZERO, inner=IntPoly((2, -1)))
+@example(p=IntPoly((-7,)), inner=IntPoly((10**30, -1)))
+@example(p=IntPoly((HUGE, -HUGE + 1, 0, 3)), inner=IntPoly((2, -1)))
+@example(p=IntPoly((1, -2, 3)), inner=IntPoly((-HUGE, HUGE + 7)))
+@settings(max_examples=300, deadline=None)
+def test_linear_compose_matches_horner(p, inner):
+    assert p.compose(inner) == _compose_horner(p, inner)
 
 
 @given(p=polys)

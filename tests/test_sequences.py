@@ -1,5 +1,6 @@
 """Golden tables and identities for the classical families."""
 
+import functools
 import math
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 import spreadpoly.sequences as seq_mod
 from spreadpoly import (
     IntPoly,
+    InternalInconsistencyError,
     SequenceCache,
     cyclotomic,
+    div_exact,
     divisors,
     fibonacci,
     lucas,
@@ -18,6 +21,7 @@ from spreadpoly import (
     zpread,
     zpread_via_lucas,
 )
+from spreadpoly.intpoly import product
 
 LUCAS_TABLE = {
     0: (2,),
@@ -76,6 +80,37 @@ def test_lucas_rejects_negative():
 @pytest.mark.parametrize("n,coeffs", CYCLOTOMIC_TABLE.items())
 def test_cyclotomic_golden(n, coeffs):
     assert cyclotomic(n) == IntPoly(coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def divided_cyclotomic(n):
+    """Phi_n as (x^n - 1) divided by the product of Phi_d over the proper divisors d."""
+    rest = product(divided_cyclotomic(d) for d in divisors(n)[:-1])
+    return div_exact(IntPoly.monomial(n) - 1, rest)
+
+
+def test_cyclotomic_matches_division():
+    # Five distinct primes (2310 = 2*3*5*7*11 and its multiples), prime
+    # powers, and a prime near the default index cap.
+    for n in [*range(1, 401), 2310, 4620, 9240, 1024, 2187, 3125, 9973]:
+        assert cyclotomic(n) == divided_cyclotomic(n), n
+
+
+def test_cyclotomic_caches_only_the_requested_index():
+    seq_mod.CACHE.clear()
+    cyclotomic(2310)
+    assert list(seq_mod.CACHE.table("cyclotomic")) == [2310]
+
+
+def test_binomial_steps():
+    f = [3, 0, -1, 2]
+    for d in (1, 2, 5):
+        assert seq_mod._times_binomial(seq_mod._times_binomial(f, d, 1), d, -1) == f
+    assert seq_mod._times_binomial([1], 2, 1) == [-1, 0, 1]
+    # Remainders 2, x + 2 and x + 2, then degrees too low for x^d - 1.
+    for f, d in (([1, 0, 1], 1), ([2, 0, 0, 1], 2), ([1, 1, 1], 2), ([1, 1], 3), ([5], 1)):
+        with pytest.raises(InternalInconsistencyError):
+            seq_mod._times_binomial(f, d, -1)
 
 
 def test_cyclotomic_completeness_small():
