@@ -24,9 +24,10 @@ from .errors import (
     VerificationFailureError,
 )
 from .intpoly import IntPoly, X, div_exact, palindrome_fold, product
-from .sequences import CACHE, cyclotomic, divisors, lucas, totient, zpread
+from .sequences import CACHE, cyclotomic, divisors, lucas, zpread
 
 
+@CACHE.family("psi", 1)
 def psi(n: int) -> IntPoly:
     """Minimal polynomial of 2*cos(2*pi/n); monic of degree totient(n)/2 for n >= 3.
 
@@ -37,12 +38,6 @@ def psi(n: int) -> IntPoly:
     >>> str(psi(9))
     '1 - 3*x + x^3'
     """
-    if n < 1:
-        raise ValueError("index must be positive")
-    return CACHE.get_or_compute("psi", n, lambda: _psi(n))
-
-
-def _psi(n: int) -> IntPoly:
     if n == 1:
         return IntPoly((-2, 1))
     if n == 2:
@@ -58,6 +53,7 @@ def _psi(n: int) -> IntPoly:
     return IntPoly(u - 2 * v for u, v in zip_longest(chain((c[0],), b1), b2, fillvalue=0))
 
 
+@CACHE.family("phi_min", 1)
 def phi_min(n: int) -> IntPoly:
     """Minimal polynomial of 4*sin^2(pi/n); the reference route.
 
@@ -67,18 +63,20 @@ def phi_min(n: int) -> IntPoly:
     >>> str(phi_min(7))
     '-7 + 14*x - 7*x^2 + x^3'
     """
-    if n < 1:
-        raise ValueError("index must be positive")
-    return CACHE.get_or_compute("phi_min", n, lambda: _phi_min(n))
-
-
-def _phi_min(n: int) -> IntPoly:
     if n == 1:
         return X
     if n == 2:
         return IntPoly((-4, 1))
-    reflected = psi(n).compose(IntPoly((2, -1)))
-    return reflected if (totient(n) // 2) % 2 == 0 else -reflected
+    return _reflect_monic(psi(n), 2)
+
+
+def _reflect_monic(p: IntPoly, a: int) -> IntPoly:
+    """The monic polynomial whose roots are a minus the roots of monic p.
+
+    p(a - x) leads with (-1)^deg, so the sign is restored by that factor.
+    """
+    reflected = p.compose(IntPoly((a, -1)))
+    return -reflected if reflected.degree() % 2 else reflected
 
 
 class PhiRoute(enum.Enum):
@@ -90,6 +88,7 @@ class PhiRoute(enum.Enum):
     COMPOSITION = "composition"
 
 
+@CACHE.family("phi_odd_lucas", 1)
 def phi_odd_lucas(m: int) -> IntPoly:
     """Recover phi_m for odd m from L_m(x) = x * prod of phi_d(x^2) over d | m, d > 1.
 
@@ -97,12 +96,8 @@ def phi_odd_lucas(m: int) -> IntPoly:
     divisors, checks the quotient is a polynomial in x^2, and removes the
     squared variable.
     """
-    if m < 1 or m % 2 == 0:
-        raise ValueError("index must be odd and positive")
-    return CACHE.get_or_compute("phi_odd_lucas", m, lambda: _phi_odd_lucas(m))
-
-
-def _phi_odd_lucas(m: int) -> IntPoly:
+    if m % 2 == 0:
+        raise ValueError("phi_odd_lucas index must be odd")
     if m == 1:
         return X
     den = product((phi_odd_lucas(d).stretch(2) for d in divisors(m)[1:-1]), start=X)
@@ -119,18 +114,13 @@ def _unstretch2(p: IntPoly, m: int) -> IntPoly:
     return IntPoly(cs[0::2])
 
 
+@CACHE.family("phi_pow2", 0)
 def phi_pow2(k: int) -> IntPoly:
     """phi at index 2^k: bases x, x - 4, x - 2, then each square minus 2.
 
     >>> str(phi_pow2(3))
     '2 - 4*x + x^2'
     """
-    if k < 0:
-        raise ValueError("exponent must be non-negative")
-    return CACHE.get_or_compute("phi_pow2", k, lambda: _phi_pow2(k))
-
-
-def _phi_pow2(k: int) -> IntPoly:
     if k == 0:
         return X
     if k == 1:
@@ -141,6 +131,7 @@ def _phi_pow2(k: int) -> IntPoly:
     return prev * prev - 2
 
 
+@CACHE.family("phi_composed", 1)
 def phi_composed(n: int) -> IntPoly:
     """The composition route: split n = 2^k * m with m odd and compose.
 
@@ -149,12 +140,6 @@ def phi_composed(n: int) -> IntPoly:
     monic sign restored) and phi_{2^k * m} composes phi_m with phi_{2^k}
     squared.
     """
-    if n < 1:
-        raise ValueError("index must be positive")
-    return CACHE.get_or_compute("phi_composed", n, lambda: _phi_composed(n))
-
-
-def _phi_composed(n: int) -> IntPoly:
     k = (n & -n).bit_length() - 1
     m = n >> k
     if k == 0:
@@ -163,8 +148,7 @@ def _phi_composed(n: int) -> IntPoly:
         return phi_pow2(k)
     odd_part = phi_odd_lucas(m)
     if k == 1:
-        reflected = odd_part.compose(IntPoly((4, -1)))
-        return reflected if (totient(m) // 2) % 2 == 0 else -reflected
+        return _reflect_monic(odd_part, 4)
     return odd_part.compose(phi_pow2(k) ** 2)
 
 
@@ -314,28 +298,28 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
     """
     if n < 1:
         raise ValueError("index must be positive")
-    factors = tuple(Factor(d, 1, capital_phi(d, route)) for d in divisors(n))
-    assembled = product(f.poly for f in factors)
-    expected = zpread(n)
-    if assembled != expected:
-        raise VerificationFailureError(
-            f"zpread factor product mismatch at n={n}: {assembled} != {expected}"
-        )
-    return FactorizationRecord("zpread", n, factors, assembled)
+    factors = [Factor(d, 1, capital_phi(d, route)) for d in divisors(n)]
+    return _checked_record("zpread", n, factors, zpread(n), "zpread")
 
 
 def factor_lucas_minus2(n: int) -> FactorizationRecord:
     """Factor L_n - 2: simple factors at divisors 1 and 2, squares elsewhere."""
     if n < 1:
         raise ValueError("index must be positive")
-    factors = tuple(Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n))
-    assembled = product(f.poly**f.multiplicity for f in factors)
-    expected = lucas(n) - 2
+    factors = [Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n)]
+    return _checked_record("lucas_minus_2", n, factors, lucas(n) - 2, "Lucas")
+
+
+def _checked_record(
+    target_kind: str, n: int, factors: list[Factor], expected: IntPoly, label: str
+) -> FactorizationRecord:
+    """The record of ``factors``, once their product is seen to equal ``expected``."""
+    assembled = product(f.poly if f.multiplicity == 1 else f.poly**f.multiplicity for f in factors)
     if assembled != expected:
         raise VerificationFailureError(
-            f"Lucas factor product mismatch at n={n}: {assembled} != {expected}"
+            f"{label} factor product mismatch at n={n}: {assembled} != {expected}"
         )
-    return FactorizationRecord("lucas_minus_2", n, factors, assembled)
+    return FactorizationRecord(target_kind, n, tuple(factors), assembled)
 
 
 @dataclass(frozen=True)

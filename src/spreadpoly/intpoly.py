@@ -25,10 +25,12 @@ from .errors import (
     NotDivisibleError,
     NotPalindromicError,
     OddDegreeError,
-    env_int,
 )
 
-_mul_threshold = env_int("SPREADPOLY_MUL_THRESHOLD", 32, 1)
+# Products whose shorter operand has at most this many coefficients use the
+# schoolbook path.  Measured against Kronecker substitution it breaks even
+# near 24 coefficients of 20-64 bits and near 56 of 400 bits; 32 lies between.
+_MUL_THRESHOLD = 32
 
 
 def get_mul_threshold() -> int:
@@ -37,15 +39,7 @@ def get_mul_threshold() -> int:
     Products whose shorter operand is longer go through Kronecker
     substitution.
     """
-    return _mul_threshold
-
-
-def set_mul_threshold(value: int) -> None:
-    """Override the schoolbook/Kronecker switchover (must be >= 1)."""
-    global _mul_threshold
-    if value < 1:
-        raise ValueError("multiplication threshold must be at least 1")
-    _mul_threshold = value
+    return _MUL_THRESHOLD
 
 
 class IntPoly:
@@ -143,7 +137,7 @@ class IntPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
-        if min(len(a), len(b)) <= _mul_threshold:
+        if min(len(a), len(b)) <= _MUL_THRESHOLD:
             return IntPoly(_mul_schoolbook(a, b))
         return IntPoly(_mul_kronecker(a, b))
 
@@ -439,12 +433,12 @@ def mul_schoolbook(p: IntPoly, q: IntPoly) -> IntPoly:
 def mul_karatsuba(p: IntPoly, q: IntPoly, threshold: int | None = None) -> IntPoly:
     """Exact product by the divide-and-conquer path.
 
-    ``threshold`` is the recursion floor; defaults to the module setting.
+    ``threshold`` is the recursion floor; defaults to the schoolbook threshold.
     Bit-identical to the schoolbook path for every input.
     """
     if p.is_zero() or q.is_zero():
         return ZERO
-    t = _mul_threshold if threshold is None else max(1, threshold)
+    t = _MUL_THRESHOLD if threshold is None else max(1, threshold)
     return IntPoly(_mul_dispatch(p.coeffs, q.coeffs, t))
 
 

@@ -7,10 +7,11 @@ needs.  Everything is exact; results are memoized per family.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, TypeVar
 
-from .errors import InternalInconsistencyError, env_int
+from .errors import InternalInconsistencyError
 from .intpoly import IntPoly
 
 T = TypeVar("T")
@@ -51,13 +52,34 @@ class SequenceCache:
             return got  # type: ignore[return-value]
         return self.store(family, n, compute())
 
+    def family(self, name: str, minimum: int) -> Callable[[Callable[[int], T]], Callable[[int], T]]:
+        """Decorator declaring a memoized family of one index.
+
+        The decorated function builds the value at index n; the result
+        refuses n < ``minimum`` with ValueError and otherwise memoizes the
+        build under ``name``.  The uncached build stays reachable as
+        ``__wrapped__``.
+        """
+
+        def declare(build: Callable[[int], T]) -> Callable[[int], T]:
+            @functools.wraps(build)
+            def member(n: int) -> T:
+                if n < minimum:
+                    raise ValueError(f"{name} index must be at least {minimum}")
+                return self.get_or_compute(name, n, lambda: build(n))
+
+            return member
+
+        return declare
+
     def clear(self) -> None:
         self._tables.clear()
 
 
-CACHE = SequenceCache(env_int("SPREADPOLY_CACHE_MAX_INDEX", None, 0))
+CACHE = SequenceCache()
 
 
+@CACHE.family("lucas", 0)
 def lucas(n: int) -> IntPoly:
     """The degree-n Lucas polynomial: L_0 = 2, L_1 = x, L_n = x*L_{n-1} - L_{n-2}.
 
@@ -69,12 +91,6 @@ def lucas(n: int) -> IntPoly:
     >>> str(lucas(5))
     '5*x - 5*x^3 + x^5'
     """
-    if n < 0:
-        raise ValueError("lucas index must be non-negative")
-    return CACHE.get_or_compute("lucas", n, lambda: _lucas(n))
-
-
-def _lucas(n: int) -> IntPoly:
     if n == 0:
         return IntPoly((2,))
     # c_k = -c_{k-1} * (n-2k+2)(n-2k+1) / (k(n-k)), from c_0 = 1; each step
@@ -89,6 +105,7 @@ def _lucas(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+@CACHE.family("cyclotomic", 1)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, by the Moebius product.
 
@@ -100,12 +117,6 @@ def cyclotomic(n: int) -> IntPoly:
     >>> str(cyclotomic(6))
     '1 - x + x^2'
     """
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    return CACHE.get_or_compute("cyclotomic", n, lambda: _cyclotomic(n))
-
-
-def _cyclotomic(n: int) -> IntPoly:
     s = 1
     mobius = [(1, 1)]  # (e, mu(e)) for every divisor e of s
     for p in _prime_factors(n):
@@ -139,6 +150,7 @@ def _times_binomial(f: list[int], d: int, mu: int) -> list[int]:
     return q
 
 
+@CACHE.family("zpread", 1)
 def zpread(n: int) -> IntPoly:
     """The degree-n zpread polynomial from its closed-form coefficients.
 
@@ -149,12 +161,6 @@ def zpread(n: int) -> IntPoly:
     >>> str(zpread(3))
     '9*x - 6*x^2 + x^3'
     """
-    if n < 1:
-        raise ValueError("zpread index must be positive")
-    return CACHE.get_or_compute("zpread", n, lambda: _zpread(n))
-
-
-def _zpread(n: int) -> IntPoly:
     # u_k = C(n+k-1, n-k) from u_1 = C(n, n-1), stepping by
     # u_{k+1} = u_k * (n+k)(n-k) / ((2k+1)(2k)).
     coeffs = [0] * (n + 1)
@@ -200,18 +206,13 @@ def spread(n: int) -> IntPoly:
     return IntPoly(out)
 
 
+@CACHE.family("fibonacci", 0)
 def fibonacci(n: int) -> int:
     """The n-th Fibonacci number, exact, by fast doubling.
 
     >>> [fibonacci(n) for n in range(10)]
     [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
     """
-    if n < 0:
-        raise ValueError("fibonacci index must be non-negative")
-    return CACHE.get_or_compute("fibonacci", n, lambda: _fibonacci(n))
-
-
-def _fibonacci(n: int) -> int:
     # (a, b) = (F_k, F_{k+1}) for k the leading bits of n read so far:
     # F_2k = F_k(2F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2.
     a, b = 0, 1

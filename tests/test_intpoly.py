@@ -29,11 +29,9 @@ from spreadpoly import (
     X,
     ZERO,
     div_exact,
-    get_mul_threshold,
     mul_karatsuba,
     mul_schoolbook,
     palindrome_fold,
-    set_mul_threshold,
 )
 
 coeffs_st = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=17)
@@ -96,19 +94,6 @@ def test_mul_degree_additive(p, q):
         assert (p * q).degree() == p.degree() + q.degree()
 
 
-def test_mul_threshold_configuration():
-    old = get_mul_threshold()
-    try:
-        set_mul_threshold(2)
-        p = IntPoly(range(1, 40))
-        q = IntPoly(range(3, 50))
-        assert p * q == mul_schoolbook(p, q)
-        with pytest.raises(ValueError):
-            set_mul_threshold(0)
-    finally:
-        set_mul_threshold(old)
-
-
 # Coefficients for the Kronecker kernel: zeros, tiny values of either sign
 # and values wide enough to need slots of dozens of digits.
 kernel_coeffs = st.one_of(
@@ -146,13 +131,11 @@ def test_kronecker_matches_schoolbook(a, b):
 @given(p=small_polys, q=small_polys)
 @settings(max_examples=150)
 def test_kronecker_on_tiny_operands(p, q):
-    old = get_mul_threshold()
-    try:
-        set_mul_threshold(1)  # every product of two non-constants is Kronecker
-        assert p * q == mul_schoolbook(p, q)
-        assert p * p == mul_schoolbook(p, p)
-    finally:
-        set_mul_threshold(old)
+    if p.is_zero() or q.is_zero():
+        return
+    a, b = p.coeffs, q.coeffs
+    assert IntPoly(_mul_kronecker(a, b)) == mul_schoolbook(p, q)
+    assert IntPoly(_mul_kronecker(a, a)) == mul_schoolbook(p, p)
 
 
 def test_kronecker_unbalanced_shapes():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import spreadpoly
 import spreadpoly.sequences as seq_mod
 from spreadpoly import (
     IntPoly,
@@ -136,7 +137,7 @@ def test_zpread_golden(n, coeffs):
 
 def test_zpread_routes_agree_small():
     for n in [*range(1, 301), 720, 1260]:
-        assert seq_mod._zpread(n) == zpread_via_lucas(n), n
+        assert seq_mod.zpread.__wrapped__(n) == zpread_via_lucas(n), n
 
 
 def test_zpread_vanishes_at_origin():
@@ -229,7 +230,7 @@ def test_zpread_integrality_guard(monkeypatch):
     broken = type("M", (), {"comb": staticmethod(lambda a, b: 1)})
     monkeypatch.setattr(seq_mod, "math", broken)
     with pytest.raises(InternalInconsistencyError):
-        seq_mod._zpread(4)
+        seq_mod.zpread.__wrapped__(4)
 
 
 def test_zpread_recurrence_step_guard(monkeypatch):
@@ -240,7 +241,7 @@ def test_zpread_recurrence_step_guard(monkeypatch):
     broken = type("M", (), {"comb": staticmethod(lambda a, b: 1)})
     monkeypatch.setattr(seq_mod, "math", broken)
     with pytest.raises(InternalInconsistencyError):
-        seq_mod._zpread(2)
+        seq_mod.zpread.__wrapped__(2)
 
 
 def test_cache_max_index_knob():
@@ -251,6 +252,34 @@ def test_cache_max_index_knob():
     computed = cache.get_or_compute("demo", 9, lambda: "recomputed")
     assert computed == "recomputed"
     assert 9 not in cache.table("demo")
+
+
+# Every family declared with SequenceCache.family: its name (also the table
+# key), least index, and a mid-size index to build.
+DECLARED_FAMILIES = [
+    ("lucas", 0, 40),
+    ("cyclotomic", 1, 60),
+    ("zpread", 1, 40),
+    ("fibonacci", 0, 300),
+    ("psi", 1, 45),
+    ("phi_min", 1, 45),
+    ("phi_odd_lucas", 1, 45),
+    ("phi_pow2", 0, 6),
+    ("phi_composed", 1, 44),
+]
+
+
+@pytest.mark.parametrize("name,minimum,n", DECLARED_FAMILIES)
+def test_declared_family_contract(name, minimum, n):
+    fn = getattr(spreadpoly, name)
+    seq_mod.CACHE.clear()
+    with pytest.raises(ValueError, match=f"{name} index must be at least {minimum}"):
+        fn(minimum - 1)
+    assert not seq_mod.CACHE.table(name)
+    value = fn(n)
+    assert seq_mod.CACHE.table(name)[n] is value
+    assert fn(n) is value
+    assert fn.__wrapped__(n) == value
 
 
 def test_cache_hits_are_identical():
