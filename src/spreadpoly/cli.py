@@ -21,6 +21,10 @@ from .factor import PhiRoute
 from .intpoly import IntPoly, _compose_horner, mul_karatsuba, mul_schoolbook
 
 DEFAULT_MAX_INDEX = 10_000
+# verify --sweep S runs six suites over every n <= S, in time growing about
+# as S^2.6: S = 400 took 5.3-5.9 s and S = 500 took 11.0 s on a 2-vCPU VM
+# (Python 3.11.7), against the 10 s budget of one command.
+MAX_SWEEP = 400
 
 _ROUTES = {"min": PhiRoute.MINIMAL_POLY, "fast": PhiRoute.COMPOSITION}
 
@@ -93,6 +97,8 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.sweep > MAX_SWEEP:
+        raise OutOfBoundsError(f"sweep {args.sweep} exceeds the maximum {MAX_SWEEP}")
     instances = env_int("SPREADPOLY_VERIFY_INSTANCES", 1000, 1)
     with factor_mod.corrupted_phi(args.corrupt_phi):
         report = verify.run_verification(args.sweep, args.tol, instances)

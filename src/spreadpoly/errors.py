@@ -87,7 +87,7 @@ class ConfigurationError(SpreadPolyError):
     """A ``SPREADPOLY_*`` environment variable is malformed or out of range."""
 
 
-def env_int(name: str, default: int | None, minimum: int) -> int | None:
+def env_int(name: str, default: int, minimum: int) -> int:
     """The integer in environment variable ``name``, or ``default`` when unset or empty.
 
     Raises ConfigurationError naming the variable, its value and the allowed

@@ -2,8 +2,17 @@
 
 Evaluating the zpread factorization at 5 turns the polynomial identity into
 an integer one: F_n is the product over divisors d of n of the primitive
-parts p_d, where p_1 = 1 and p_d is the absolute value of the minimal
-polynomial of 4*sin^2(pi/d) evaluated at 5.
+parts p_d, where p_1 = p_2 = 1 and, for d >= 3, p_d = |phi_d(5)| with
+phi_d the minimal polynomial of 4*sin^2(pi/d).
+
+No minimal polynomial is built.  phi_d(5) = +-psi_d(2 - 5) = +-psi_d(-3),
+and psi_d = c_0 + sum_{k>=1} c_k * L_k with c_k the folded weights of the
+d-th cyclotomic polynomial.  Since 3 = a^2 + a^-2 for the golden ratio a,
+L_k(-3) = (-1)^k * Luc(2k), so
+
+    p_d = |c_0 + sum_{k>=1} (-1)^k * c_k * Luc(2k)|,
+
+which is summed at x = -3 by the scalar Clenshaw recurrence.
 """
 
 from __future__ import annotations
@@ -11,17 +20,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IdentityFailureError, VerificationFailureError
-from .factor import phi_min
-from .sequences import divisors, fibonacci, zpread
+from .intpoly import palindrome_fold
+from .sequences import cyclotomic, divisors, fibonacci, zpread
 
 
 def primitive_part(n: int) -> int:
-    """The positive integer attached to divisor n in the Fibonacci product."""
+    """The positive integer attached to divisor n in the Fibonacci product.
+
+    p_1 = p_2 = 1; for n >= 3, p_n = |c_0 + sum_{k>=1} (-1)^k * c_k * Luc(2k)|
+    with c_k the folded weights of the n-th cyclotomic polynomial.
+
+    >>> [primitive_part(n) for n in (1, 2, 3, 11, 12)]
+    [1, 1, 2, 89, 6]
+    """
     if n < 1:
         raise ValueError("index must be positive")
-    if n == 1:
+    if n <= 2:
         return 1
-    return abs(phi_min(n).eval_int(5))
+    c = palindrome_fold(cyclotomic(n)).lucas_coeffs
+    # Clenshaw for L_k = x*L_{k-1} - L_{k-2} at x = -3, as factor.psi runs it
+    # on coefficient lists: b_k = c_k - 3*b_{k+1} - b_{k+2} and the sum is
+    # c_0 - 3*b_1 - 2*b_2.
+    b1 = b2 = 0
+    for k in range(len(c) - 1, 0, -1):
+        b1, b2 = c[k] - 3 * b1 - b2, b1
+    return abs(c[0] - 3 * b1 - 2 * b2)
 
 
 @dataclass(frozen=True)

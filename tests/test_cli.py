@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread
-from spreadpoly.cli import main
+from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread, verify
+from spreadpoly.cli import MAX_SWEEP, main
 from spreadpoly.errors import env_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -164,6 +164,22 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "n=9" in out
 
 
+def test_verify_sweep_above_the_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.delenv("SPREADPOLY_VERIFY_INSTANCES", raising=False)
+    runs = []
+
+    def run_verification(sweep, tol, instances):
+        runs.append(sweep)
+        return verify.VerifyReport(sweep, tol)
+
+    monkeypatch.setattr(verify, "run_verification", run_verification)
+    code, out, err = run_cli(capsys, "verify", "--sweep", str(MAX_SWEEP + 1))
+    assert (code, out, runs) == (1, "", [])
+    assert err == f"error: sweep {MAX_SWEEP + 1} exceeds the maximum {MAX_SWEEP}\n"
+    code, _, _ = run_cli(capsys, "verify", "--sweep", str(MAX_SWEEP))
+    assert (code, runs) == (0, [MAX_SWEEP])
+
+
 def test_bench_completes(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "bench", "16", "64")
@@ -284,7 +300,7 @@ def test_env_int(monkeypatch):
     monkeypatch.delenv("SPREADPOLY_TEST_KNOB", raising=False)
     assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
     monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "")
-    assert env_int("SPREADPOLY_TEST_KNOB", None, 1) is None
+    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
     monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "7")
     assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 7
     for bad in ("0", "1.5", "seven"):

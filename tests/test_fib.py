@@ -4,7 +4,9 @@ import pytest
 
 import spreadpoly.fib as fib_mod
 from spreadpoly import (
+    CACHE,
     IdentityFailureError,
+    IntPoly,
     VerificationFailureError,
     fib_factorization,
     fibonacci,
@@ -127,3 +129,33 @@ def test_verification_failure_on_bad_parts(monkeypatch):
     monkeypatch.setattr(fib_mod, "fibonacci", lambda n: 999)
     with pytest.raises(VerificationFailureError):
         fib_mod.fib_factorization(6)
+
+
+def test_primitive_part_matches_minimal_polynomial_oracle():
+    # The oracle builds the whole minimal polynomial, which primitive_part skips.
+    for d in [*range(1, 601), 2003, 2520, 4001]:
+        expected = 1 if d == 1 else abs(phi_min(d).eval_int(5))
+        assert primitive_part(d) == expected, d
+
+
+def test_fib_builds_no_minimal_polynomial():
+    CACHE.clear()
+    assert fib_factorization(840).reconstructed == fibonacci(840)
+    assert CACHE.table("psi") == {}
+    assert CACHE.table("phi_min") == {}
+    assert CACHE.table("cyclotomic")
+
+
+def test_product_check_sees_a_corrupted_weight(monkeypatch):
+    # Adding x^m to the palindromic Phi_12 of degree 2m moves c_0 by one,
+    # so p_12 changes and the parts no longer multiply to F_12.
+    real = fib_mod.cyclotomic
+
+    def corrupted(d):
+        poly = real(d)
+        return poly + IntPoly.monomial(poly.degree() // 2) if d == 12 else poly
+
+    monkeypatch.setattr(fib_mod, "cyclotomic", corrupted)
+    assert fib_mod.primitive_part(12) != 6
+    with pytest.raises(VerificationFailureError):
+        fib_mod.fib_factorization(12)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spreadpoly.factor
+import spreadpoly.fib
 import spreadpoly.intpoly
 import spreadpoly.sequences
 from spreadpoly.intpoly import (
@@ -40,7 +41,7 @@ small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-20, max_value=2
 
 
 def test_doctests():
-    for module in (spreadpoly.intpoly, spreadpoly.sequences, spreadpoly.factor):
+    for module in (spreadpoly.intpoly, spreadpoly.sequences, spreadpoly.factor, spreadpoly.fib):
         failures, attempted = doctest.testmod(module)
         assert attempted > 0 and failures == 0, module.__name__
 
