@@ -13,6 +13,8 @@ L_k(-3) = (-1)^k * Luc(2k), so
     p_d = |c_0 + sum_{k>=1} (-1)^k * c_k * Luc(2k)|,
 
 which is summed at x = -3 by the scalar Clenshaw recurrence.
+``part_from_minimal_polynomial`` keeps the definition |phi_d(5)| as the
+reference that ``verify`` checks these parts against.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IdentityFailureError, VerificationFailureError
+from .factor import phi_min
 from .intpoly import palindrome_fold
 from .sequences import cyclotomic, divisors, fibonacci, zpread
 
@@ -45,6 +48,16 @@ def primitive_part(n: int) -> int:
     for k in range(len(c) - 1, 0, -1):
         b1, b2 = c[k] - 3 * b1 - b2, b1
     return abs(c[0] - 3 * b1 - 2 * b2)
+
+
+def part_from_minimal_polynomial(n: int) -> int:
+    """p_n by its definition, |phi_n(5)| with phi_n built whole (p_1 = 1).
+
+    Far slower than ``primitive_part``; ``fib_factorization`` never calls it.
+    """
+    if n < 1:
+        raise ValueError("index must be positive")
+    return 1 if n == 1 else abs(phi_min(n).eval_int(5))
 
 
 @dataclass(frozen=True)

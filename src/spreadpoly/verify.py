@@ -271,7 +271,9 @@ def _suite_phi_float_roots(n_max: int, tol: float, instances: int) -> Check:
 def _suite_fibonacci_primitive_parts(n_max: int, tol: float, instances: int) -> Check:
     for n in range(1, min(200, n_max) + 1):
         table = fib.fib_factorization(n)
-        yield f"n={n}", table.reconstructed == fibonacci(n)
+        ok = table.reconstructed == fibonacci(n)
+        ok = ok and all(p == fib.part_from_minimal_polynomial(d) for d, p in table.parts)
+        yield f"n={n}", ok
 
 
 def _suite_zpread_at_five(n_max: int, tol: float, instances: int) -> Check:

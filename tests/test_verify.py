@@ -3,6 +3,7 @@
 import pytest
 
 import spreadpoly.factor as factor_mod
+import spreadpoly.fib as fib_mod
 from spreadpoly import run_suite, run_verification
 from spreadpoly.verify import SUITES
 
@@ -40,6 +41,14 @@ def test_corrupted_route_is_caught_and_reported():
     assert result.failures == 1
     assert "n=9" in result.first_failure
     assert "routes disagree" in result.first_failure
+
+
+def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch):
+    # The parts still multiply to F_12; only the reference |phi_12(5)| moves.
+    real = fib_mod.phi_min
+    monkeypatch.setattr(fib_mod, "phi_min", lambda d: real(d) + 1 if d == 12 else real(d))
+    result = run_suite("fibonacci-primitive-parts", sweep=20)
+    assert (result.failures, result.first_failure) == (1, "n=12")
 
 
 def test_suite_results_are_deterministic():
