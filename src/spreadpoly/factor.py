@@ -42,7 +42,7 @@ def psi(n: int) -> IntPoly:
         return IntPoly((-2, 1))
     if n == 2:
         return IntPoly((2, 1))
-    c = palindrome_fold(cyclotomic(n)).lucas_coeffs
+    c = palindrome_fold(cyclotomic(n))
     # Clenshaw for L_k = x*L_{k-1} - L_{k-2}: b_k = c_k + x*b_{k+1} - b_{k+2}
     # from b_{m+1} = b_{m+2} = 0, and the sum is c_0 + x*b_1 - 2*b_2 because
     # L_1 = x and L_0 = 2.  b_k has degree m - k for m = len(c) - 1.
@@ -313,13 +313,17 @@ def factor_lucas_minus2(n: int) -> FactorizationRecord:
 def _checked_record(
     target_kind: str, n: int, factors: list[Factor], expected: IntPoly, label: str
 ) -> FactorizationRecord:
-    """The record of ``factors``, once their product is seen to equal ``expected``."""
+    """The record of ``factors``, once their product is seen to equal ``expected``.
+
+    The record holds ``expected`` itself as its product, not the equal copy
+    assembled here, so a cached target is not kept twice.
+    """
     assembled = product(f.poly if f.multiplicity == 1 else f.poly**f.multiplicity for f in factors)
     if assembled != expected:
         raise VerificationFailureError(
             f"{label} factor product mismatch at n={n}: {assembled} != {expected}"
         )
-    return FactorizationRecord(target_kind, n, tuple(factors), assembled)
+    return FactorizationRecord(target_kind, n, tuple(factors), expected)
 
 
 @dataclass(frozen=True)

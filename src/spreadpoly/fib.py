@@ -40,7 +40,7 @@ def primitive_part(n: int) -> int:
         raise ValueError("index must be positive")
     if n <= 2:
         return 1
-    c = palindrome_fold(cyclotomic(n)).lucas_coeffs
+    c = palindrome_fold(cyclotomic(n))
     # Clenshaw for L_k = x*L_{k-1} - L_{k-2} at x = -3, as factor.psi runs it
     # on coefficient lists: b_k = c_k - 3*b_{k+1} - b_{k+2} and the sum is
     # c_0 - 3*b_1 - 2*b_2.

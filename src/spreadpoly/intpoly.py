@@ -7,6 +7,11 @@ empty tuple.  Values are immutable and safe to share between threads.
 
 Exact rationals are ``fractions.Fraction``; its invariants (reduced form,
 positive denominator) are exactly what the evaluation routines need.
+
+Every product goes through ``IntPoly.__mul__``: schoolbook for short
+operands, Kronecker substitution otherwise.  ``mul_schoolbook`` is the
+oracle it is checked against.  ``palindrome_fold`` returns the central
+weights of a palindromic polynomial as a plain tuple.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ from __future__ import annotations
 import decimal
 import heapq
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     InternalInconsistencyError,
@@ -37,7 +41,8 @@ def get_mul_threshold() -> int:
     """Coefficient count at or below which products use the schoolbook path.
 
     Products whose shorter operand is longer go through Kronecker
-    substitution.
+    substitution.  ``verify`` sizes its multiplication suite from it, and
+    the benchmark's tracer and child read it by name.
     """
     return _MUL_THRESHOLD
 
@@ -434,7 +439,9 @@ def mul_karatsuba(p: IntPoly, q: IntPoly, threshold: int | None = None) -> IntPo
     """Exact product by the divide-and-conquer path.
 
     ``threshold`` is the recursion floor; defaults to the schoolbook threshold.
-    Bit-identical to the schoolbook path for every input.
+    Bit-identical to the schoolbook path for every input.  No product and
+    no program path calls it; it stays only because the benchmark's tracer
+    binds it by name.
     """
     if p.is_zero() or q.is_zero():
         return ZERO
@@ -485,41 +492,17 @@ def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
 # -- palindrome folding -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PalindromeFold:
-    """Central-coefficient form of a palindromic polynomial of degree 2m.
+def palindrome_fold(p: IntPoly) -> tuple[int, ...]:
+    """The central weights (c_0, ..., c_m) of a palindromic polynomial of degree 2m.
 
-    ``lucas_coeffs[k]`` is the weight c_k in
-    p(x) = x^m * (c_0 + sum_{k>=1} c_k * (x^k + x^-k)).
-    Each c_k with k >= 1 is also the weight of the degree-k Lucas polynomial
-    when the quotient p(x)/x^m is rewritten in that basis; c_0 passes through
-    as a plain constant rather than c_0 times the constant Lucas value 2.
-    """
+    p(x) = x^m * (c_0 + sum_{k>=1} c_k * (x^k + x^-k)).  Each c_k with
+    k >= 1 is also the weight of the degree-k Lucas polynomial when
+    p(x)/x^m is rewritten in that basis; c_0 passes through as a plain
+    constant rather than c_0 times the constant Lucas value 2.  The
+    weights are ``p.coeffs[m:]``, and ``IntPoly(w[:0:-1] + w)`` rebuilds p
+    from them.
 
-    lucas_coeffs: tuple[int, ...]
-
-    def half_degree(self) -> int:
-        return len(self.lucas_coeffs) - 1
-
-    def unfold(self) -> IntPoly:
-        """Re-expand to the palindromic polynomial the fold came from."""
-        m = self.half_degree()
-        out = [0] * (2 * m + 1)
-        out[m] = self.lucas_coeffs[0]
-        for k in range(1, m + 1):
-            c = self.lucas_coeffs[k]
-            out[m + k] = c
-            out[m - k] = c
-        return IntPoly(out)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.lucas_coeffs)
-
-
-def palindrome_fold(p: IntPoly) -> PalindromeFold:
-    """Fold a palindromic even-degree polynomial into its central weights.
-
-    >>> palindrome_fold(IntPoly((1, 0, 0, 1, 0, 0, 1))).lucas_coeffs
+    >>> palindrome_fold(IntPoly((1, 0, 0, 1, 0, 0, 1)))
     (1, 0, 0, 1)
     """
     d = p.degree()
@@ -527,5 +510,4 @@ def palindrome_fold(p: IntPoly) -> PalindromeFold:
         raise OddDegreeError(f"cannot fold degree {d}; need a nonzero even degree")
     if not p.is_palindromic():
         raise NotPalindromicError(f"{p} is not palindromic")
-    m = d // 2
-    return PalindromeFold(p.coeffs[m:])
+    return p.coeffs[d // 2 :]

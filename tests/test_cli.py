@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import spreadpoly.factor as factor_mod
 from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread, verify
-from spreadpoly.cli import MAX_SWEEP, main
+from spreadpoly.cli import DEFAULT_MAX_INDEX, MAX_SWEEP, main
 from spreadpoly.errors import env_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,8 +60,9 @@ def test_show_routes_agree(capsys):
     assert fast == slow
 
 
-def test_show_out_of_bounds(capsys):
-    code, _, err = run_cli(capsys, "--max-n", "10", "show", "phi", "20")
+def test_show_out_of_bounds(capsys, monkeypatch):
+    monkeypatch.setenv("SPREADPOLY_MAX_INDEX", "10")
+    code, _, err = run_cli(capsys, "show", "phi", "20")
     assert code == 1
     assert "exceeds" in err
 
@@ -180,6 +182,24 @@ def test_verify_sweep_above_the_cap_is_refused(capsys, monkeypatch):
     assert (code, runs) == (0, [MAX_SWEEP])
 
 
+def test_verify_corrupt_phi_outside_the_sweep_is_refused(capsys, monkeypatch):
+    monkeypatch.delenv("SPREADPOLY_VERIFY_INSTANCES", raising=False)
+    runs = []
+
+    def run_verification(sweep, tol, instances):
+        runs.append((sweep, factor_mod._CORRUPTED_PHI.get()))
+        return verify.VerifyReport(sweep, tol)
+
+    monkeypatch.setattr(verify, "run_verification", run_verification)
+    for n in ("9", "0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "--sweep", "5", "--corrupt-phi", n)
+        assert (code, out, runs) == (1, "", [])
+        assert err == f"error: corrupt-phi index {n} is outside 1..5\n"
+    for n in (1, 5):
+        code, _, _ = run_cli(capsys, "verify", "--sweep", "5", "--corrupt-phi", str(n))
+        assert (code, runs[-1]) == (0, (5, n))
+
+
 def test_bench_completes(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "bench", "16", "64")
@@ -188,6 +208,14 @@ def test_bench_completes(capsys):
     rows = [line for line in out.splitlines() if line.strip().startswith(("16", "64"))]
     assert len(rows) == 2
     assert elapsed < 60
+
+
+def test_bench_refuses_bad_sizes_before_printing(capsys, monkeypatch):
+    monkeypatch.delenv("SPREADPOLY_MAX_INDEX", raising=False)
+    for bad, message in (("0", "index must be positive"), (str(DEFAULT_MAX_INDEX + 1), "exceeds")):
+        code, out, err = run_cli(capsys, "bench", "16", bad)
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 def test_bench_refuses_disagreeing_paths(capsys, monkeypatch):

@@ -85,7 +85,7 @@ def test_psi_phi_shape():
 
 def lucas_sum_psi(n):
     """psi_n as c_0 + sum of c_k * L_k over the folded cyclotomic weights, term by term."""
-    c = palindrome_fold(cyclotomic(n)).lucas_coeffs
+    c = palindrome_fold(cyclotomic(n))
     result = IntPoly((c[0],))
     for k in range(1, len(c)):
         if c[k]:
@@ -231,6 +231,11 @@ def test_factor_zpread_examples():
 def test_factor_zpread_fast_route_matches():
     for n in (6, 12, 20, 36):
         assert factor_zpread(n, PhiRoute.COMPOSITION).product == zpread(n)
+
+
+def test_factor_zpread_keeps_the_cached_target():
+    # The verified product is the cached zpread(n) itself, not a second copy.
+    assert factor_zpread(60).product is zpread(60)
 
 
 def test_factor_zpread_degree_sum():

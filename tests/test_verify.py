@@ -4,6 +4,7 @@ import pytest
 
 import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
+import spreadpoly.intpoly as intpoly_mod
 from spreadpoly import run_suite, run_verification
 from spreadpoly.verify import SUITES
 
@@ -41,6 +42,20 @@ def test_corrupted_route_is_caught_and_reported():
     assert result.failures == 1
     assert "n=9" in result.first_failure
     assert "routes disagree" in result.first_failure
+
+
+def test_mul_path_equivalence_catches_a_kronecker_fault(monkeypatch):
+    real = intpoly_mod._mul_kronecker
+
+    def off_by_one(a, b):
+        out = real(a, b)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(intpoly_mod, "_mul_kronecker", off_by_one)
+    result = run_suite("mul-path-equivalence", instances=200)
+    assert not result.passed
+    assert result.first_failure.startswith("instance=")
 
 
 def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch):
