@@ -25,6 +25,10 @@ DEFAULT_MAX_INDEX = 10_000
 # as S^2.6: S = 400 took 5.3-5.9 s and S = 500 took 11.0 s on a 2-vCPU VM
 # (Python 3.11.7), against the 10 s budget of one command.
 MAX_SWEEP = 400
+# bench grows faster than linearly in each size, mostly in the Horner
+# reflection oracle, so the sum of the sizes bounds a request: a total of
+# 2500 took 5.7 s and 3000 took 9.6 s on the same VM.
+MAX_BENCH = 2500
 
 _ROUTES = {"min": PhiRoute.MINIMAL_POLY, "fast": PhiRoute.COMPOSITION}
 
@@ -101,9 +105,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise OutOfBoundsError(f"sweep {args.sweep} exceeds the maximum {MAX_SWEEP}")
     if args.corrupt_phi is not None and not 1 <= args.corrupt_phi <= args.sweep:
         raise OutOfBoundsError(f"corrupt-phi index {args.corrupt_phi} is outside 1..{args.sweep}")
-    instances = env_int("SPREADPOLY_VERIFY_INSTANCES", 1000, 1)
     with factor_mod.corrupted_phi(args.corrupt_phi):
-        report = verify.run_verification(args.sweep, args.tol, instances)
+        report = verify.run_verification(args.sweep)
     if args.format == "record":
         for suite in report.suites:
             _emit_record(suite.to_record())
@@ -117,6 +120,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if size < 1:
             raise ValueError("index must be positive")
         _check_bounds(size, args.max_index)
+    total = sum(args.sizes)
+    if total > MAX_BENCH:
+        raise OutOfBoundsError(f"bench sizes total {total} exceeds the maximum {MAX_BENCH}")
     rng = random.Random(0xBE7C)
     print(
         f"{'size':>6}  {'schoolbook':>12}  {'kronecker':>12}"
@@ -180,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run every identity and property suite")
     ver.add_argument("--sweep", type=int, default=200)
-    ver.add_argument("--tol", type=float, default=1e-9)
     ver.add_argument("--format", choices=("text", "record"), default="text")
     ver.add_argument(
         "--corrupt-phi",

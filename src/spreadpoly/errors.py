@@ -91,15 +91,13 @@ def env_int(name: str, default: int, minimum: int) -> int:
     """The integer in environment variable ``name``, or ``default`` when unset or empty.
 
     Raises ConfigurationError naming the variable, its value and the allowed
-    range when the value is not an integer or is below ``minimum``.
+    range when the value is not a string of decimal digits 0-9 or is below
+    ``minimum``.
     """
     raw = os.environ.get(name, "")
     if not raw:
         return default
-    try:
-        value = int(raw)
-        if value >= minimum:
-            return value
-    except ValueError:
-        pass
+    # int() would also take "1_0", " 7 " and non-ASCII digits.
+    if raw.isascii() and raw.isdigit() and int(raw) >= minimum:
+        return int(raw)
     raise ConfigurationError(f"{name}={raw!r} is invalid: expected an integer >= {minimum}")

@@ -24,8 +24,9 @@ class SequenceCache:
 
     A stored value is never replaced, and every value is a pure function of
     its index, so concurrent readers always see results identical to
-    recomputation.  ``max_index`` bounds which indices are retained; higher
-    ones are recomputed on demand.
+    recomputation.  ``store`` returns the value the table keeps, so writers
+    that race on one index share one copy.  ``max_index`` bounds which
+    indices are retained; higher ones are recomputed on demand.
     """
 
     def __init__(self, max_index: int | None = None):
@@ -43,7 +44,7 @@ class SequenceCache:
 
     def store(self, family: str, n: int, value: T) -> T:
         if self.max_index is None or n <= self.max_index:
-            self.table(family).setdefault(n, value)
+            return self.table(family).setdefault(n, value)  # type: ignore[return-value]
         return value
 
     def get_or_compute(self, family: str, n: int, compute: Callable[[], T]) -> T:

@@ -22,7 +22,6 @@ from spreadpoly import (
     psi,
     cyclotomic,
     run_suite,
-    run_verification,
     totient,
     zpread,
     zpread_at5_identity,
@@ -215,12 +214,8 @@ def test_criterion_3_route_equivalence_sweep():
 
 def test_criterion_4_identity_suites():
     started = perf_counter()
-    report = run_verification(sweep=200, names=IDENTITY_SUITES)
-    failures = [
-        f"{s.name}: {s.first_failure}" for s in report.suites if not s.passed
-    ]
-    if len(report.suites) != len(IDENTITY_SUITES):
-        failures.append("missing suite")
+    results = [run_suite(name, sweep=200) for name in IDENTITY_SUITES]
+    failures = [f"{s.name}: {s.first_failure}" for s in results if not s.passed]
     _report(4, "identity suites at stated bounds", failures, started)
 
 
@@ -256,7 +251,7 @@ def test_criterion_7_kernel_properties():
     started = perf_counter()
     failures = []
     for name in KERNEL_SUITES:
-        result = run_suite(name, instances=1000)
+        result = run_suite(name)
         if not result.passed:
             failures.append(f"{name}: {result.first_failure}")
         elif result.checks < 1000:

@@ -11,6 +11,7 @@ import pytest
 
 import spreadpoly.factor as factor_mod
 from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread, verify
+from spreadpoly import cli
 from spreadpoly.cli import DEFAULT_MAX_INDEX, MAX_SWEEP, main
 from spreadpoly.errors import env_int
 
@@ -136,8 +137,7 @@ def test_record_output_is_stable(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_verify_small_sweep(capsys, monkeypatch):
-    monkeypatch.setenv("SPREADPOLY_VERIFY_INSTANCES", "20")
+def test_verify_small_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "--sweep", "12")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
@@ -145,8 +145,7 @@ def test_verify_small_sweep(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_record_stability(capsys, monkeypatch):
-    monkeypatch.setenv("SPREADPOLY_VERIFY_INSTANCES", "10")
+def test_verify_record_stability(capsys):
     outputs = []
     for _ in range(2):
         code, out, _ = run_cli(capsys, "verify", "--sweep", "6", "--format", "record")
@@ -158,8 +157,7 @@ def test_verify_record_stability(capsys, monkeypatch):
         assert record["status"] == "pass"
 
 
-def test_verify_fault_injection(capsys, monkeypatch):
-    monkeypatch.setenv("SPREADPOLY_VERIFY_INSTANCES", "5")
+def test_verify_fault_injection(capsys):
     code, out, _ = run_cli(capsys, "verify", "--sweep", "12", "--corrupt-phi", "9")
     assert code == 1
     assert "routes disagree" in out
@@ -167,12 +165,11 @@ def test_verify_fault_injection(capsys, monkeypatch):
 
 
 def test_verify_sweep_above_the_cap_is_refused(capsys, monkeypatch):
-    monkeypatch.delenv("SPREADPOLY_VERIFY_INSTANCES", raising=False)
     runs = []
 
-    def run_verification(sweep, tol, instances):
+    def run_verification(sweep):
         runs.append(sweep)
-        return verify.VerifyReport(sweep, tol)
+        return verify.VerifyReport(sweep)
 
     monkeypatch.setattr(verify, "run_verification", run_verification)
     code, out, err = run_cli(capsys, "verify", "--sweep", str(MAX_SWEEP + 1))
@@ -183,12 +180,11 @@ def test_verify_sweep_above_the_cap_is_refused(capsys, monkeypatch):
 
 
 def test_verify_corrupt_phi_outside_the_sweep_is_refused(capsys, monkeypatch):
-    monkeypatch.delenv("SPREADPOLY_VERIFY_INSTANCES", raising=False)
     runs = []
 
-    def run_verification(sweep, tol, instances):
+    def run_verification(sweep):
         runs.append((sweep, factor_mod._CORRUPTED_PHI.get()))
-        return verify.VerifyReport(sweep, tol)
+        return verify.VerifyReport(sweep)
 
     monkeypatch.setattr(verify, "run_verification", run_verification)
     for n in ("9", "0", "-1"):
@@ -198,6 +194,18 @@ def test_verify_corrupt_phi_outside_the_sweep_is_refused(capsys, monkeypatch):
     for n in (1, 5):
         code, _, _ = run_cli(capsys, "verify", "--sweep", "5", "--corrupt-phi", str(n))
         assert (code, runs[-1]) == (0, (5, n))
+
+
+def test_verify_has_no_settings(capsys, monkeypatch):
+    # The suites depend on the sweep alone: retired settings are ignored or refused.
+    argv = ("verify", "--sweep", "3", "--format", "record")
+    plain = run_cli(capsys, *argv)
+    monkeypatch.setenv("SPREADPOLY_VERIFY_INSTANCES", "abc")
+    assert run_cli(capsys, *argv) == plain
+    assert plain[0] == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "--tol", "1e-6"])
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_bench_completes(capsys):
@@ -212,10 +220,19 @@ def test_bench_completes(capsys):
 
 def test_bench_refuses_bad_sizes_before_printing(capsys, monkeypatch):
     monkeypatch.delenv("SPREADPOLY_MAX_INDEX", raising=False)
-    for bad, message in (("0", "index must be positive"), (str(DEFAULT_MAX_INDEX + 1), "exceeds")):
-        code, out, err = run_cli(capsys, "bench", "16", bad)
+    for sizes, message in (
+        (("16", "0"), "index must be positive"),
+        (("16", str(DEFAULT_MAX_INDEX + 1)), "exceeds the configured maximum"),
+        (("2501",), "error: bench sizes total 2501 exceeds the maximum 2500\n"),
+        (("2000", "501"), "error: bench sizes total 2501 exceeds the maximum 2500\n"),
+    ):
+        code, out, err = run_cli(capsys, "bench", *sizes)
         assert (code, out) == (1, "")
         assert message in err
+    # The cap is on the total, so sizes summing to it are accepted.
+    monkeypatch.setattr(cli, "MAX_BENCH", 40)
+    code, _, _ = run_cli(capsys, "bench", "20", "20")
+    assert code == 0
 
 
 def test_bench_refuses_disagreeing_paths(capsys, monkeypatch):
@@ -303,8 +320,6 @@ def test_import_reads_no_knob():
     [
         ("SPREADPOLY_MAX_INDEX", "abc", ("show", "phi", "7")),
         ("SPREADPOLY_MAX_INDEX", "0", ("show", "phi", "7")),
-        ("SPREADPOLY_VERIFY_INSTANCES", "abc", ("verify", "--sweep", "3")),
-        ("SPREADPOLY_VERIFY_INSTANCES", "-5", ("verify", "--sweep", "3")),
     ],
 )
 def test_bad_cli_knob_exits_with_error(name, value, argv):
@@ -331,7 +346,7 @@ def test_env_int(monkeypatch):
     assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
     monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "7")
     assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 7
-    for bad in ("0", "1.5", "seven"):
+    for bad in ("0", "1.5", "seven", "1_0", " 7 ", "\u0667"):
         monkeypatch.setenv("SPREADPOLY_TEST_KNOB", bad)
         with pytest.raises(ConfigurationError, match="SPREADPOLY_TEST_KNOB.*>= 1"):
             env_int("SPREADPOLY_TEST_KNOB", 5, 1)

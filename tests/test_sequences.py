@@ -254,6 +254,14 @@ def test_cache_max_index_knob():
     assert 9 not in cache.table("demo")
 
 
+
+def test_cache_store_returns_the_kept_value():
+    # A writer that loses a race gets the stored object, so one copy is kept.
+    cache = SequenceCache()
+    a, b = IntPoly((1, 2)), IntPoly((1, 2))
+    assert cache.store("demo", 2, a) is a
+    assert cache.store("demo", 2, b) is a
+
 # Every family declared with SequenceCache.family: its name (also the table
 # key), least index, and a mid-size index to build.
 DECLARED_FAMILIES = [

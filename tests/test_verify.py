@@ -10,7 +10,7 @@ from spreadpoly.verify import SUITES
 
 
 def test_small_sweep_all_pass():
-    report = run_verification(sweep=12, instances=25)
+    report = run_verification(sweep=12)
     assert report.passed
     assert len(report.suites) >= 12
     for suite in report.suites:
@@ -20,18 +20,7 @@ def test_small_sweep_all_pass():
 
 
 def test_degenerate_sweep_passes():
-    report = run_verification(sweep=1, instances=5)
-    assert report.passed
-
-
-def test_suite_subset_selection():
-    report = run_verification(
-        sweep=10, instances=5, names=("zpread-two-routes", "phi-route-agreement")
-    )
-    assert [s.name for s in report.suites] == [
-        "zpread-two-routes",
-        "phi-route-agreement",
-    ]
+    report = run_verification(sweep=1)
     assert report.passed
 
 
@@ -53,7 +42,7 @@ def test_mul_path_equivalence_catches_a_kronecker_fault(monkeypatch):
         return out
 
     monkeypatch.setattr(intpoly_mod, "_mul_kronecker", off_by_one)
-    result = run_suite("mul-path-equivalence", instances=200)
+    result = run_suite("mul-path-equivalence")
     assert not result.passed
     assert result.first_failure.startswith("instance=")
 
@@ -66,9 +55,27 @@ def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch)
     assert (result.failures, result.first_failure) == (1, "n=12")
 
 
+@pytest.mark.parametrize(
+    "suite,builder",
+    [("zpread-factorization", "capital_phi"), ("lucas-minus2-factorization", "psi")],
+)
+def test_factorization_suites_catch_a_wrong_factor(monkeypatch, suite, builder):
+    # The factor at d = 12 gains 1; the product check inside the factor
+    # engine must report it at n = 12, the first index with that divisor.
+    real = getattr(factor_mod, builder)
+
+    def wrong_at_12(d, *route):
+        return real(d, *route) + 1 if d == 12 else real(d, *route)
+
+    monkeypatch.setattr(factor_mod, builder, wrong_at_12)
+    result = run_suite(suite, sweep=20)
+    assert result.failures == 1
+    assert "factor product mismatch at n=12" in result.first_failure
+
+
 def test_suite_results_are_deterministic():
-    first = run_suite("ring-axioms", instances=40)
-    second = run_suite("ring-axioms", instances=40)
+    first = run_suite("ring-axioms")
+    second = run_suite("ring-axioms")
     assert first.to_record() == second.to_record()
 
 
@@ -86,17 +93,12 @@ def test_record_shape_excludes_timing():
 
 
 def test_every_registered_suite_runs():
-    report = run_verification(sweep=6, instances=5)
+    report = run_verification(sweep=6)
     assert [s.name for s in report.suites] == [name for name, _ in SUITES]
 
 
 def test_bad_parameters():
     with pytest.raises(ValueError):
         run_verification(sweep=0)
-    with pytest.raises(ValueError):
-        run_verification(tolerance=0.0)
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            run_verification(tolerance=tol)
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
