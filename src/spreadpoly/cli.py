@@ -1,4 +1,4 @@
-"""Command-line front end: show, factor, fib, verify, bench.
+"""Command-line front end: show, factor, fib, verify.
 
 Text output uses the canonical polynomial rendering; record output is
 newline-delimited JSON with decimal-string coefficients, byte-stable
@@ -9,26 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from time import perf_counter
 
 from . import factor as factor_mod
 from . import fib as fib_mod
 from . import sequences, verify
 from .errors import OutOfBoundsError, SpreadPolyError, env_int
 from .factor import PhiRoute
-from .intpoly import IntPoly, _compose_horner, mul_schoolbook
 
 DEFAULT_MAX_INDEX = 10_000
 # verify --sweep S runs six suites over every n <= S, in time growing about
 # as S^2.6: S = 400 took 5.3-5.9 s and S = 500 took 11.0 s on a 2-vCPU VM
 # (Python 3.11.7), against the 10 s budget of one command.
 MAX_SWEEP = 400
-# bench grows faster than linearly in each size, mostly in the Horner
-# reflection oracle, so the sum of the sizes bounds a request: a total of
-# 2500 took 5.7 s and 3000 took 9.6 s on the same VM.
-MAX_BENCH = 2500
 
 _ROUTES = {"min": PhiRoute.MINIMAL_POLY, "fast": PhiRoute.COMPOSITION}
 
@@ -55,7 +48,7 @@ def _check_bounds(n: int, max_index: int) -> None:
 def _cmd_show(args: argparse.Namespace) -> int:
     builder, min_index = _FAMILIES[args.family]
     if args.n < min_index:
-        raise SpreadPolyError(f"family {args.family} needs n >= {min_index}")
+        raise OutOfBoundsError(f"family {args.family} needs n >= {min_index}")
     _check_bounds(args.n, args.max_index)
     poly = builder(args.n, _ROUTES[args.route])
     if args.format == "record":
@@ -115,49 +108,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    for size in args.sizes:
-        if size < 1:
-            raise ValueError("index must be positive")
-        _check_bounds(size, args.max_index)
-    total = sum(args.sizes)
-    if total > MAX_BENCH:
-        raise OutOfBoundsError(f"bench sizes total {total} exceeds the maximum {MAX_BENCH}")
-    rng = random.Random(0xBE7C)
-    print(
-        f"{'size':>6}  {'schoolbook':>12}  {'kronecker':>12}"
-        f"  {'reflect':>12}  {'factor':>12}  {'crosscheck':>12}"
-    )
-    two_minus_x = IntPoly((2, -1))
-    for size in args.sizes:
-        p = IntPoly([rng.randint(-(10**9), 10**9) for _ in range(size)] + [1])
-        q = IntPoly([rng.randint(-(10**9), 10**9) for _ in range(size)] + [1])
-        start = perf_counter()
-        school = mul_schoolbook(p, q)
-        t_school = perf_counter() - start
-        start = perf_counter()
-        default = p * q
-        t_default = perf_counter() - start
-        if school != default:
-            raise SpreadPolyError(f"multiplication paths disagree at size {size}")
-        start = perf_counter()
-        reflected = p.compose(two_minus_x)
-        t_reflect = perf_counter() - start
-        if reflected != _compose_horner(p, two_minus_x):
-            raise SpreadPolyError(f"reflection paths disagree at size {size}")
-        start = perf_counter()
-        factor_mod.factor_zpread(size)
-        t_factor = perf_counter() - start
-        start = perf_counter()
-        factor_mod.cross_check_phi(size)
-        t_cross = perf_counter() - start
-        print(
-            f"{size:>6}  {t_school:>11.4f}s  {t_default:>11.4f}s"
-            f"  {t_reflect:>11.4f}s  {t_factor:>11.4f}s  {t_cross:>11.4f}s"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spreadpoly",
@@ -195,10 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="test mode: corrupt the reference route at index N, 1 <= N <= sweep",
     )
     ver.set_defaults(func=_cmd_verify)
-
-    bench = sub.add_parser("bench", help="time the kernel at the given sizes")
-    bench.add_argument("sizes", type=int, nargs="+")
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -79,8 +79,8 @@ class IdentityFailureError(SpreadPolyError):
         super().__init__(f"{message}: {left} != {right}")
 
 
-class OutOfBoundsError(SpreadPolyError):
-    """A requested index exceeds the configured maximum."""
+class OutOfBoundsError(SpreadPolyError, ValueError):
+    """A requested index or sweep lies outside the accepted range."""
 
 
 class ConfigurationError(SpreadPolyError):

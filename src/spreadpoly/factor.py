@@ -19,6 +19,7 @@ from itertools import chain, zip_longest
 
 from .errors import (
     OddTermPresentError,
+    OutOfBoundsError,
     RouteMismatchError,
     ToleranceExceededError,
     VerificationFailureError,
@@ -194,7 +195,7 @@ def cross_check_phi(n: int) -> PhiCrossCheck:
     disagreement.
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     routes = applicable_routes(n)
     reference = _ROUTE_BUILDERS[routes[0]](n)
     if n == _CORRUPTED_PHI.get():
@@ -229,7 +230,7 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
     composition).
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     if route not in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
         raise ValueError(f"route {route.value} cannot build every index")
     return CACHE.get_or_compute(f"capital_phi:{route.value}", n, lambda: _capital_phi(n, route))
@@ -297,7 +298,7 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
     product is compared with the closed-form polynomial before returning.
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     factors = [Factor(d, 1, capital_phi(d, route)) for d in divisors(n)]
     return _checked_record("zpread", n, factors, zpread(n), "zpread")
 
@@ -305,7 +306,7 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
 def factor_lucas_minus2(n: int) -> FactorizationRecord:
     """Factor L_n - 2: simple factors at divisors 1 and 2, squares elsewhere."""
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     factors = [Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n)]
     return _checked_record("lucas_minus_2", n, factors, lucas(n) - 2, "Lucas")
 

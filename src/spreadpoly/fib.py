@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IdentityFailureError, VerificationFailureError
+from .errors import IdentityFailureError, OutOfBoundsError, VerificationFailureError
 from .factor import phi_min
 from .intpoly import palindrome_fold
 from .sequences import cyclotomic, divisors, fibonacci, zpread
@@ -37,7 +37,7 @@ def primitive_part(n: int) -> int:
     [1, 1, 2, 89, 6]
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     if n <= 2:
         return 1
     c = palindrome_fold(cyclotomic(n))
@@ -56,7 +56,7 @@ def part_from_minimal_polynomial(n: int) -> int:
     Far slower than ``primitive_part``; ``fib_factorization`` never calls it.
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     return 1 if n == 1 else abs(phi_min(n).eval_int(5))
 
 
@@ -87,7 +87,7 @@ class PrimitivePartTable:
 def fib_factorization(n: int) -> PrimitivePartTable:
     """Primitive parts for every divisor of n, verified against F_n."""
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     parts = tuple((d, primitive_part(d)) for d in divisors(n))
     product = 1
     for _, p in parts:
@@ -103,7 +103,7 @@ def fib_factorization(n: int) -> PrimitivePartTable:
 def zpread_at5_identity(n: int) -> bool:
     """Check Z_n(5) = (-1)^(n-1) * 5 * F_n^2 exactly; raises on mismatch."""
     if n < 1:
-        raise ValueError("index must be positive")
+        raise OutOfBoundsError("index must be positive")
     left = zpread(n).eval_int(5)
     f = fibonacci(n)
     right = 5 * f * f if n % 2 else -5 * f * f

@@ -11,7 +11,7 @@ import functools
 import math
 from typing import Callable, TypeVar
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, OutOfBoundsError
 from .intpoly import IntPoly
 
 T = TypeVar("T")
@@ -57,16 +57,16 @@ class SequenceCache:
         """Decorator declaring a memoized family of one index.
 
         The decorated function builds the value at index n; the result
-        refuses n < ``minimum`` with ValueError and otherwise memoizes the
-        build under ``name``.  The uncached build stays reachable as
-        ``__wrapped__``.
+        refuses n < ``minimum`` with OutOfBoundsError and otherwise
+        memoizes the build under ``name``.  The uncached build stays
+        reachable as ``__wrapped__``.
         """
 
         def declare(build: Callable[[int], T]) -> Callable[[int], T]:
             @functools.wraps(build)
             def member(n: int) -> T:
                 if n < minimum:
-                    raise ValueError(f"{name} index must be at least {minimum}")
+                    raise OutOfBoundsError(f"{name} index must be at least {minimum}")
                 return self.get_or_compute(name, n, lambda: build(n))
 
             return member
@@ -182,7 +182,7 @@ def zpread_via_lucas(n: int) -> IntPoly:
     checked against each other.
     """
     if n < 1:
-        raise ValueError("zpread index must be positive")
+        raise OutOfBoundsError("zpread index must be positive")
     return 2 - lucas(n).compose(IntPoly((2, -1)))
 
 
@@ -227,7 +227,7 @@ def fibonacci(n: int) -> int:
 def totient(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if n < 1:
-        raise ValueError("totient argument must be positive")
+        raise OutOfBoundsError("totient argument must be positive")
     result = n
     for p in _prime_factors(n):
         result -= result // p
@@ -252,7 +252,7 @@ def _prime_factors(n: int) -> list[int]:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:
-        raise ValueError("divisors argument must be positive")
+        raise OutOfBoundsError("divisors argument must be positive")
     small: list[int] = []
     large: list[int] = []
     d = 1

@@ -1,5 +1,6 @@
 """CLI behavior: rendering, record stability, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import spreadpoly.factor as factor_mod
+import spreadpoly.fib as fib_mod
 from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread, verify
-from spreadpoly import cli
-from spreadpoly.cli import DEFAULT_MAX_INDEX, MAX_SWEEP, main
-from spreadpoly.errors import env_int
+from spreadpoly import sequences
+from spreadpoly.cli import MAX_SWEEP, main
+from spreadpoly.errors import OutOfBoundsError, SpreadPolyError, env_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -208,63 +210,6 @@ def test_verify_has_no_settings(capsys, monkeypatch):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-def test_bench_completes(capsys):
-    start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "bench", "16", "64")
-    elapsed = time.perf_counter() - start
-    assert code == 0
-    rows = [line for line in out.splitlines() if line.strip().startswith(("16", "64"))]
-    assert len(rows) == 2
-    assert elapsed < 60
-
-
-def test_bench_refuses_bad_sizes_before_printing(capsys, monkeypatch):
-    monkeypatch.delenv("SPREADPOLY_MAX_INDEX", raising=False)
-    for sizes, message in (
-        (("16", "0"), "index must be positive"),
-        (("16", str(DEFAULT_MAX_INDEX + 1)), "exceeds the configured maximum"),
-        (("2501",), "error: bench sizes total 2501 exceeds the maximum 2500\n"),
-        (("2000", "501"), "error: bench sizes total 2501 exceeds the maximum 2500\n"),
-    ):
-        code, out, err = run_cli(capsys, "bench", *sizes)
-        assert (code, out) == (1, "")
-        assert message in err
-    # The cap is on the total, so sizes summing to it are accepted.
-    monkeypatch.setattr(cli, "MAX_BENCH", 40)
-    code, _, _ = run_cli(capsys, "bench", "20", "20")
-    assert code == 0
-
-
-def test_bench_refuses_disagreeing_paths(capsys, monkeypatch):
-    import spreadpoly.intpoly as intpoly_mod
-
-    def off_by_one(a, b):
-        out = intpoly_mod._mul_schoolbook(a, b)
-        out[0] += 1
-        return out
-
-    monkeypatch.setattr(intpoly_mod, "_mul_kronecker", off_by_one)
-    code, _, err = run_cli(capsys, "bench", "64")
-    assert code == 1
-    assert "multiplication paths disagree at size 64" in err
-
-
-def test_bench_refuses_disagreeing_reflection(capsys, monkeypatch):
-    import spreadpoly.intpoly as intpoly_mod
-
-    real = intpoly_mod._compose_linear
-
-    def off_by_one(cs, a, b):
-        out = real(cs, a, b)
-        out[0] += 1
-        return out
-
-    monkeypatch.setattr(intpoly_mod, "_compose_linear", off_by_one)
-    code, _, err = run_cli(capsys, "bench", "64")
-    assert code == 1
-    assert "reflection paths disagree at size 64" in err
-
-
 def test_karatsuba_not_catastrophically_slower():
     coeffs = list(range(1, 258))
     p = IntPoly(coeffs)
@@ -286,9 +231,73 @@ def test_bad_index_exits_nonzero(capsys):
 
 
 def test_usage_error_exits_nonzero():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["show", "nosuchfamily", "3"])
-    assert excinfo.value.code == 2
+    for argv in (["show", "nosuchfamily", "3"], ["bench", "16"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+
+# Each library call at its minimum index - 1, with a CLI request refused at
+# the same minimum and its stderr line, where there is one.
+BELOW_MINIMUM = [
+    (sequences.lucas, -1, ("show", "lucas", "-1"), "family lucas needs n >= 0"),
+    (sequences.cyclotomic, 0, None, None),
+    (sequences.zpread, 0, None, None),
+    (sequences.fibonacci, -1, None, None),
+    (sequences.zpread_via_lucas, 0, None, None),
+    (sequences.totient, 0, None, None),
+    (sequences.divisors, 0, None, None),
+    (factor_mod.cross_check_phi, 0, None, None),
+    (factor_mod.capital_phi, 0, None, None),
+    (factor_mod.factor_zpread, 0, ("factor", "0"), "index must be positive"),
+    (factor_mod.factor_lucas_minus2, 0, None, None),
+    (fib_mod.primitive_part, 0, None, None),
+    (fib_mod.part_from_minimal_polynomial, 0, None, None),
+    (fib_mod.fib_factorization, 0, ("fib", "0"), "index must be positive"),
+    (fib_mod.zpread_at5_identity, 0, None, None),
+    (verify.run_verification, 0, ("verify", "--sweep", "0"), "sweep bound must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,n,argv,line", BELOW_MINIMUM, ids=[row[0].__name__ for row in BELOW_MINIMUM]
+)
+def test_below_minimum_is_out_of_bounds(capsys, call, n, argv, line):
+    # Typed for callers that catch SpreadPolyError, and still a ValueError.
+    with pytest.raises(OutOfBoundsError) as excinfo:
+        call(n)
+    assert isinstance(excinfo.value, SpreadPolyError)
+    assert isinstance(excinfo.value, ValueError)
+    if argv is not None:
+        assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+# sha256 of each request's stdout: record output stays byte-identical
+# across changes and Python versions.
+RECORD_DIGESTS = {
+    ("factor", "60", "--format", "record"):
+        "ef014d5ef161743f58d9ce6e3344baa78b8c5d6d9ffcbc867635d7667e30770e",
+    ("factor", "60", "--format", "record", "--route", "fast"):
+        "ef014d5ef161743f58d9ce6e3344baa78b8c5d6d9ffcbc867635d7667e30770e",
+    ("factor", "36", "lucas", "--format", "record"):
+        "e9a6562eb4badd4d4e2eb883e9bbdf864f55520e522ca5bffd6fa216f58a1803",
+    ("fib", "300", "--format", "record"):
+        "a30ba1ecbd31f465866bbc8bad3673c3a08990a635e957c5573545a8de5901c0",
+    ("show", "Phi", "60", "--format", "record"):
+        "c2403614fdbcf6487397383dc28e3c73b3d1e31c9174d81ac294880a1285564b",
+    ("verify", "--sweep", "30", "--format", "record"):
+        "a4034e82769608598f4fec0ff16506ff946085fcc0d4910a5700fc7c470206e4",
+    ("verify", "--sweep", "30", "--corrupt-phi", "9", "--format", "record"):
+        "d9d30012312d645a1495db8d36921a095df943a9ba5d4a894c709397fb097b60",
+}
+
+
+def test_record_bytes_are_pinned(capsys):
+    for argv, digest in RECORD_DIGESTS.items():
+        sequences.CACHE.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == (1 if "--corrupt-phi" in argv else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def run_subprocess(overrides, *argv):

@@ -55,6 +55,18 @@ def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch)
     assert (result.failures, result.first_failure) == (1, "n=12")
 
 
+def test_primitive_parts_suite_catches_a_wrong_product(monkeypatch):
+    # F_12 moves by 1; the product check inside fib_factorization must
+    # report it at n = 12.
+    real = fib_mod.fibonacci
+    monkeypatch.setattr(fib_mod, "fibonacci", lambda n: real(n) + 1 if n == 12 else real(n))
+    result = run_suite("fibonacci-primitive-parts", sweep=20)
+    assert (result.failures, result.first_failure) == (
+        1,
+        "primitive parts of 12 multiply to 144, not F_12 = 145",
+    )
+
+
 @pytest.mark.parametrize(
     "suite,builder",
     [("zpread-factorization", "capital_phi"), ("lucas-minus2-factorization", "psi")],
