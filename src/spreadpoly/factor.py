@@ -93,24 +93,24 @@ class PhiRoute(enum.Enum):
 def phi_odd_lucas(m: int) -> IntPoly:
     """Recover phi_m for odd m from L_m(x) = x * prod of phi_d(x^2) over d | m, d > 1.
 
-    Divides the Lucas polynomial by the contributions of the proper
-    divisors, checks the quotient is a polynomial in x^2, and removes the
-    squared variable.
+    Both sides of L_m(x)/x are polynomials in y = x^2, so L_m/x is read in
+    y (after checking it has no odd-degree term) and divided there by the
+    phi_d(y) of the proper divisors d > 1.
     """
     if m % 2 == 0:
-        raise ValueError("phi_odd_lucas index must be odd")
+        raise OutOfBoundsError("phi_odd_lucas index must be odd")
     if m == 1:
         return X
-    den = product((phi_odd_lucas(d).stretch(2) for d in divisors(m)[1:-1]), start=X)
-    squared = div_exact(lucas(m), den)
-    return _unstretch2(squared, m)
+    in_y = _unstretch2(IntPoly(lucas(m).coeffs[1:]), m)
+    return div_exact(in_y, product(phi_odd_lucas(d) for d in divisors(m)[1:-1]))
 
 
 def _unstretch2(p: IntPoly, m: int) -> IntPoly:
+    """The q with p(x) = q(x^2), for p = L_m/x at odd index m."""
     cs = p.coeffs
     if any(cs[i] for i in range(1, len(cs), 2)):
         raise OddTermPresentError(
-            f"quotient for odd index {m} has odd-degree terms: {p}"
+            f"L_{m}/x for odd index {m} has odd-degree terms: {p}"
         )
     return IntPoly(cs[0::2])
 
@@ -179,20 +179,11 @@ _CORRUPTED_PHI: contextvars.ContextVar[int | None] = contextvars.ContextVar(
 )
 
 
-@dataclass(frozen=True)
-class PhiCrossCheck:
-    """Outcome of computing one index by every applicable route."""
-
-    n: int
-    routes: tuple[PhiRoute, ...]
-    poly: IntPoly
-
-
-def cross_check_phi(n: int) -> PhiCrossCheck:
+def cross_check_phi(n: int) -> IntPoly:
     """Compute phi_n by every applicable route and demand exact agreement.
 
-    Raises RouteMismatchError carrying both polynomials on the first
-    disagreement.
+    Returns the reference polynomial; raises RouteMismatchError carrying
+    both polynomials on the first disagreement.
     """
     if n < 1:
         raise OutOfBoundsError("index must be positive")
@@ -204,7 +195,7 @@ def cross_check_phi(n: int) -> PhiCrossCheck:
         candidate = _ROUTE_BUILDERS[route](n)
         if candidate != reference:
             raise RouteMismatchError(n, routes[0], reference, route, candidate)
-    return PhiCrossCheck(n, tuple(routes), reference)
+    return reference
 
 
 @contextmanager
@@ -232,7 +223,7 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
     if n < 1:
         raise OutOfBoundsError("index must be positive")
     if route not in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
-        raise ValueError(f"route {route.value} cannot build every index")
+        raise OutOfBoundsError(f"route {route.value} cannot build every index")
     return CACHE.get_or_compute(f"capital_phi:{route.value}", n, lambda: _capital_phi(n, route))
 
 
@@ -346,7 +337,7 @@ def float_root_check(n: int, tol: float) -> FloatRootCheck:
     with the offending root index on failure.
     """
     if n < 3:
-        raise ValueError("root check needs n >= 3")
+        raise OutOfBoundsError("root check needs n >= 3")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
     p = phi_min(n)

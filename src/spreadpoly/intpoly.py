@@ -69,10 +69,6 @@ class IntPoly:
         self._coeffs = cs[:end]
 
     @classmethod
-    def constant(cls, c: int) -> IntPoly:
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, c: int = 1) -> IntPoly:
         """The single term c*x^k."""
         if k < 0:
@@ -261,8 +257,8 @@ ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 
 
-def product(polys: Iterable[IntPoly], start: IntPoly = ONE) -> IntPoly:
-    """``start`` times every polynomial in ``polys``, by a size-balanced tree.
+def product(polys: Iterable[IntPoly]) -> IntPoly:
+    """The product of every polynomial in ``polys`` by a size-balanced tree; ONE if empty.
 
     The two shortest operands are multiplied first and their product goes
     back into the pool, so the large products come last and have operands
@@ -271,7 +267,7 @@ def product(polys: Iterable[IntPoly], start: IntPoly = ONE) -> IntPoly:
     >>> str(product([X - 1, X + 1, X]))
     '-x + x^3'
     """
-    pool = [(len(p.coeffs), i, p) for i, p in enumerate((start, *polys))]
+    pool = [(len(p.coeffs), i, p) for i, p in enumerate((ONE, *polys))]
     heapq.heapify(pool)
     for i in range(len(pool), 2 * len(pool) - 1):
         _, _, p = heapq.heappop(pool)

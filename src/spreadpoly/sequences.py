@@ -25,13 +25,11 @@ class SequenceCache:
     A stored value is never replaced, and every value is a pure function of
     its index, so concurrent readers always see results identical to
     recomputation.  ``store`` returns the value the table keeps, so writers
-    that race on one index share one copy.  ``max_index`` bounds which
-    indices are retained; higher ones are recomputed on demand.
+    that race on one index share one copy.
     """
 
-    def __init__(self, max_index: int | None = None):
+    def __init__(self):
         self._tables: dict[str, dict[int, object]] = {}
-        self.max_index = max_index
 
     def table(self, family: str) -> dict[int, object]:
         table = self._tables.get(family)
@@ -43,9 +41,7 @@ class SequenceCache:
         return self.table(family).get(n, _MISSING)
 
     def store(self, family: str, n: int, value: T) -> T:
-        if self.max_index is None or n <= self.max_index:
-            return self.table(family).setdefault(n, value)  # type: ignore[return-value]
-        return value
+        return self.table(family).setdefault(n, value)  # type: ignore[return-value]
 
     def get_or_compute(self, family: str, n: int, compute: Callable[[], T]) -> T:
         got = self.lookup(family, n)

@@ -70,7 +70,6 @@ class SuiteResult:
 class VerifyReport:
     """Results of every suite for one sweep."""
 
-    sweep: int
     suites: list[SuiteResult] = field(default_factory=list)
 
     @property
@@ -438,4 +437,4 @@ def run_verification(sweep: int = 200) -> VerifyReport:
     """Run every suite and collect a report."""
     if sweep < 1:
         raise OutOfBoundsError("sweep bound must be at least 1")
-    return VerifyReport(sweep, [run_suite(name, sweep) for name, _ in SUITES])
+    return VerifyReport([run_suite(name, sweep) for name, _ in SUITES])

@@ -171,7 +171,7 @@ def test_verify_sweep_above_the_cap_is_refused(capsys, monkeypatch):
 
     def run_verification(sweep):
         runs.append(sweep)
-        return verify.VerifyReport(sweep)
+        return verify.VerifyReport()
 
     monkeypatch.setattr(verify, "run_verification", run_verification)
     code, out, err = run_cli(capsys, "verify", "--sweep", str(MAX_SWEEP + 1))
@@ -186,7 +186,7 @@ def test_verify_corrupt_phi_outside_the_sweep_is_refused(capsys, monkeypatch):
 
     def run_verification(sweep):
         runs.append((sweep, factor_mod._CORRUPTED_PHI.get()))
-        return verify.VerifyReport(sweep)
+        return verify.VerifyReport()
 
     monkeypatch.setattr(verify, "run_verification", run_verification)
     for n in ("9", "0", "-1"):
@@ -270,6 +270,26 @@ def test_below_minimum_is_out_of_bounds(capsys, call, n, argv, line):
     assert isinstance(excinfo.value, ValueError)
     if argv is not None:
         assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+# Requests outside a function's domain other than below its minimum index,
+# with the message each refusal carries.
+DOMAIN_REFUSALS = {
+    "float_root_check": (lambda: factor_mod.float_root_check(2, 1e-9), "root check needs n >= 3"),
+    "phi_odd_lucas": (lambda: factor_mod.phi_odd_lucas(4), "phi_odd_lucas index must be odd"),
+    "capital_phi": (
+        lambda: factor_mod.capital_phi(3, factor_mod.PhiRoute.ODD_LUCAS),
+        "route odd_lucas cannot build every index",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_REFUSALS)
+def test_domain_refusal_is_out_of_bounds(name):
+    call, message = DOMAIN_REFUSALS[name]
+    with pytest.raises(OutOfBoundsError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 # sha256 of each request's stdout: record output stays byte-identical

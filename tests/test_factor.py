@@ -179,17 +179,22 @@ def test_capital_phi_route_must_be_total():
 
 
 def test_cross_check_examples():
-    nine = cross_check_phi(9)
-    assert nine.poly == IntPoly((-3, 9, -6, 1))
-    assert set(nine.routes) == {PhiRoute.MINIMAL_POLY, PhiRoute.ODD_LUCAS}
+    assert cross_check_phi(9) == IntPoly((-3, 9, -6, 1))
+    assert set(factor_mod.applicable_routes(9)) == {PhiRoute.MINIMAL_POLY, PhiRoute.ODD_LUCAS}
 
-    sixteen = cross_check_phi(16)
-    assert sixteen.poly == IntPoly((2, -16, 20, -8, 1))
-    assert set(sixteen.routes) == {PhiRoute.MINIMAL_POLY, PhiRoute.POWER_OF_TWO}
+    assert cross_check_phi(16) == IntPoly((2, -16, 20, -8, 1))
+    assert set(factor_mod.applicable_routes(16)) == {PhiRoute.MINIMAL_POLY, PhiRoute.POWER_OF_TWO}
 
-    twentyfour = cross_check_phi(24)
-    assert set(twentyfour.routes) == {PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION}
-    assert twentyfour.poly == phi_min(24)
+    assert cross_check_phi(24) == phi_min(24)
+    assert set(factor_mod.applicable_routes(24)) == {PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION}
+
+
+def test_phi_odd_lucas_matches_reference_above_the_sweep_cap():
+    # Prime powers 3^6 and 3^7, the squarefree 3*5*7*11 and the mixed 3^2*5^3,
+    # each built from an empty cache so every divisor goes through the route.
+    for m in (729, 1125, 1155, 2187):
+        CACHE.clear()
+        assert phi_odd_lucas(m) == phi_min(m), m
 
 
 def test_cross_check_sweep_small():

@@ -244,17 +244,6 @@ def test_zpread_recurrence_step_guard(monkeypatch):
         seq_mod.zpread.__wrapped__(2)
 
 
-def test_cache_max_index_knob():
-    cache = SequenceCache(max_index=5)
-    cache.store("demo", 3, "kept")
-    cache.store("demo", 9, "dropped")
-    assert cache.table("demo") == {3: "kept"}
-    computed = cache.get_or_compute("demo", 9, lambda: "recomputed")
-    assert computed == "recomputed"
-    assert 9 not in cache.table("demo")
-
-
-
 def test_cache_store_returns_the_kept_value():
     # A writer that loses a race gets the stored object, so one copy is kept.
     cache = SequenceCache()
