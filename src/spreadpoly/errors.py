@@ -80,7 +80,7 @@ class IdentityFailureError(SpreadPolyError):
 
 
 class OutOfBoundsError(SpreadPolyError, ValueError):
-    """A requested index or sweep lies outside the accepted range."""
+    """An index, sweep, exponent, tolerance or suite name outside the accepted range."""
 
 
 class ConfigurationError(SpreadPolyError):

@@ -339,7 +339,7 @@ def float_root_check(n: int, tol: float) -> FloatRootCheck:
     if n < 3:
         raise OutOfBoundsError("root check needs n >= 3")
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
+        raise OutOfBoundsError("tolerance must be finite and positive")
     p = phi_min(n)
     bound = tol * (1 + sum(abs(c) for c in p.coeffs))
     worst = 0.0
@@ -347,7 +347,7 @@ def float_root_check(n: int, tol: float) -> FloatRootCheck:
     for k in range(1, (n + 1) // 2):
         if math.gcd(k, n) != 1:
             continue
-        residual = abs(p.eval_float(4.0 * math.sin(math.pi * k / n) ** 2))
+        residual = abs(p(4.0 * math.sin(math.pi * k / n) ** 2))
         if residual > bound:
             raise ToleranceExceededError(n, k, residual, bound)
         worst = max(worst, residual)

@@ -57,7 +57,7 @@ def part_from_minimal_polynomial(n: int) -> int:
     """
     if n < 1:
         raise OutOfBoundsError("index must be positive")
-    return 1 if n == 1 else abs(phi_min(n).eval_int(5))
+    return 1 if n == 1 else abs(phi_min(n)(5))
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def zpread_at5_identity(n: int) -> bool:
     """Check Z_n(5) = (-1)^(n-1) * 5 * F_n^2 exactly; raises on mismatch."""
     if n < 1:
         raise OutOfBoundsError("index must be positive")
-    left = zpread(n).eval_int(5)
+    left = zpread(n)(5)
     f = fibonacci(n)
     right = 5 * f * f if n % 2 else -5 * f * f
     if left != right:

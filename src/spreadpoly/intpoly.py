@@ -5,8 +5,9 @@ A polynomial is stored as a tuple of coefficients in ascending degree, so
 normalized: the last coefficient is nonzero and the zero polynomial is the
 empty tuple.  Values are immutable and safe to share between threads.
 
-Exact rationals are ``fractions.Fraction``; its invariants (reduced form,
-positive denominator) are exactly what the evaluation routines need.
+``p(a)`` evaluates by Horner's rule: exactly at an ``int`` or a
+``fractions.Fraction``, in double precision at a ``float``, and as the
+composition p(a(x)) at an ``IntPoly``.
 
 Every product goes through ``IntPoly.__mul__``: schoolbook for short
 operands, Kronecker substitution otherwise.  ``mul_schoolbook`` is the
@@ -29,6 +30,7 @@ from .errors import (
     NotDivisibleError,
     NotPalindromicError,
     OddDegreeError,
+    OutOfBoundsError,
 )
 
 # Products whose shorter operand has at most this many coefficients use the
@@ -55,7 +57,7 @@ class IntPoly:
     '9*x - 6*x^2 + x^3'
     >>> p.degree()
     3
-    >>> p.eval_int(2)
+    >>> p(2)
     2
     """
 
@@ -72,7 +74,7 @@ class IntPoly:
     def monomial(cls, k: int, c: int = 1) -> IntPoly:
         """The single term c*x^k."""
         if k < 0:
-            raise ValueError("exponent must be non-negative")
+            raise OutOfBoundsError("exponent must be non-negative")
         return cls((0,) * k + (c,))
 
     @property
@@ -112,20 +114,12 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        elif not isinstance(other, IntPoly):
+        if not isinstance(other, (int, IntPoly)):
             return NotImplemented
-        out = list(self._coeffs)
-        b = other._coeffs
-        if len(b) > len(out):
-            out.extend([0] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return IntPoly(out)
+        return self + -other
 
     def __rsub__(self, other: int) -> IntPoly:
-        return IntPoly((other,)) - self
+        return (-self).__add__(other)
 
     def __neg__(self) -> IntPoly:
         return IntPoly(tuple(-c for c in self._coeffs))
@@ -146,7 +140,7 @@ class IntPoly:
 
     def __pow__(self, n: int) -> IntPoly:
         if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
+            raise OutOfBoundsError("negative powers are not defined for polynomials")
         result = ONE
         base = self
         while n:
@@ -170,14 +164,14 @@ class IntPoly:
         """Substitute ``inner`` for the variable.
 
         A linear ``inner`` a + b*x is a Taylor shift on coefficient lists;
-        any other ``inner`` goes through Horner accumulation of polynomials.
+        any other ``inner`` goes through ``self(inner)``.
 
         >>> str(IntPoly((-3, 1)).compose(IntPoly((4, -1))))
         '1 - x'
         """
         if len(inner._coeffs) == 2:
             return IntPoly(_compose_linear(self._coeffs, *inner._coeffs))
-        return _compose_horner(self, inner)
+        return self(inner)
 
     def stretch(self, k: int) -> IntPoly:
         """Substitute x^k for x by spreading coefficients; exact and cheap.
@@ -186,7 +180,7 @@ class IntPoly:
         '-3 + x^2'
         """
         if k < 1:
-            raise ValueError("stretch factor must be positive")
+            raise OutOfBoundsError("stretch factor must be positive")
         if not self._coeffs:
             return ZERO
         out = [0] * ((len(self._coeffs) - 1) * k + 1)
@@ -194,23 +188,14 @@ class IntPoly:
             out[i * k] = c
         return IntPoly(out)
 
-    def eval_int(self, a: int) -> int:
-        """Exact value at an integer point."""
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * a + c
-        return acc
+    def __call__(self, a: int | Fraction | float | IntPoly) -> int | Fraction | float | IntPoly:
+        """The value at ``a`` by Horner's rule.
 
-    def eval_rational(self, a: Fraction | int) -> Fraction:
-        """Exact value at a rational point, always reduced."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * a + c
-        return acc
-
-    def eval_float(self, a: float) -> float:
-        """Horner evaluation in double precision; no exactness contract."""
-        acc = 0.0
+        Exact at an ``int`` or a ``Fraction``, double precision at a
+        ``float``, and the composition p(a(x)) at an ``IntPoly``; the
+        accumulator starts at ZERO there, so every composition is an IntPoly.
+        """
+        acc = ZERO if isinstance(a, IntPoly) else 0
         for c in reversed(self._coeffs):
             acc = acc * a + c
         return acc
@@ -369,13 +354,6 @@ def _kronecker_unpack(packed: Decimal, k: int, length: int) -> list[int]:
         borrow = c >= half
         out.append(c - base if borrow else c)
     return [-c for c in out] if packed.is_signed() else out
-
-
-def _compose_horner(p: IntPoly, inner: IntPoly) -> IntPoly:
-    result = ZERO
-    for c in reversed(p.coeffs):
-        result = result * inner + c
-    return result
 
 
 def _compose_linear(cs: tuple[int, ...], a: int, b: int) -> list[int]:

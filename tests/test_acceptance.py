@@ -176,7 +176,7 @@ def test_criterion_1_golden_tables():
     if phi_pow2(5) != phi_min(32):
         failures.append("phi_pow2(5) vs reference route")
     for n, printed in PHI_AT_5.items():
-        value = phi_min(n).eval_int(5)
+        value = phi_min(n)(5)
         expected = -printed if n >= 3 and (totient(n) // 2) % 2 else printed
         if value != expected:
             failures.append(f"phi_{n}(5)={value}, table {printed}")

@@ -12,7 +12,7 @@ import pytest
 
 import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
-from spreadpoly import ConfigurationError, IntPoly, mul_karatsuba, mul_schoolbook, spread, verify
+from spreadpoly import ConfigurationError, IntPoly, X, mul_karatsuba, mul_schoolbook, spread, verify
 from spreadpoly import sequences
 from spreadpoly.cli import MAX_SWEEP, main
 from spreadpoly.errors import OutOfBoundsError, SpreadPolyError, env_int
@@ -281,6 +281,14 @@ DOMAIN_REFUSALS = {
         lambda: factor_mod.capital_phi(3, factor_mod.PhiRoute.ODD_LUCAS),
         "route odd_lucas cannot build every index",
     ),
+    "float_root_check_tolerance": (
+        lambda: factor_mod.float_root_check(5, 0.0),
+        "tolerance must be finite and positive",
+    ),
+    "monomial": (lambda: IntPoly.monomial(-1), "exponent must be non-negative"),
+    "stretch": (lambda: X.stretch(0), "stretch factor must be positive"),
+    "pow": (lambda: X**-1, "negative powers are not defined for polynomials"),
+    "run_suite": (lambda: verify.run_suite("nope"), "unknown verify suite 'nope'"),
 }
 
 

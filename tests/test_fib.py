@@ -51,7 +51,7 @@ def test_primitive_part_examples():
 
 def test_signed_value_table():
     for n, printed in SIGNED_VALUES_AT_5.items():
-        value = phi_min(n).eval_int(5)
+        value = phi_min(n)(5)
         if n >= 3 and (totient(n) // 2) % 2:
             assert -value == printed
         else:
@@ -97,8 +97,8 @@ def test_fib_divisibility_consequence():
 
 def test_zpread_at5_examples():
     assert zpread_at5_identity(1)
-    assert zpread(5).eval_int(5) == 125
-    assert zpread(10).eval_int(5) == -15125
+    assert zpread(5)(5) == 125
+    assert zpread(10)(5) == -15125
     for n in range(1, 101):
         assert zpread_at5_identity(n)
 
@@ -121,7 +121,7 @@ def test_identity_failure_carries_both_sides(monkeypatch):
     monkeypatch.setattr(fib_mod, "fibonacci", lambda n: 999)
     with pytest.raises(IdentityFailureError) as excinfo:
         fib_mod.zpread_at5_identity(3)
-    assert excinfo.value.left == zpread(3).eval_int(5)
+    assert excinfo.value.left == zpread(3)(5)
     assert excinfo.value.right == 5 * 999 * 999
 
 
@@ -134,7 +134,7 @@ def test_verification_failure_on_bad_parts(monkeypatch):
 def test_primitive_part_matches_minimal_polynomial_oracle():
     # The oracle builds the whole minimal polynomial, which primitive_part skips.
     for d in [*range(1, 601), 2003, 2520, 4001]:
-        expected = 1 if d == 1 else abs(phi_min(d).eval_int(5))
+        expected = 1 if d == 1 else abs(phi_min(d)(5))
         assert primitive_part(d) == expected, d
 
 

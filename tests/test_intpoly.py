@@ -1,6 +1,5 @@
 """Kernel tests: arithmetic, division, composition, evaluation, folding."""
 
-import doctest
 import math
 import random
 from fractions import Fraction
@@ -9,12 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import spreadpoly.factor
-import spreadpoly.fib
-import spreadpoly.intpoly
-import spreadpoly.sequences
 from spreadpoly.intpoly import (
-    _compose_horner,
     _mul_kronecker,
     _mul_schoolbook,
     int_from_digits,
@@ -40,12 +34,6 @@ polys = st.builds(IntPoly, coeffs_st)
 small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-20, max_value=20), max_size=5))
 
 
-def test_doctests():
-    for module in (spreadpoly.intpoly, spreadpoly.sequences, spreadpoly.factor, spreadpoly.fib):
-        failures, attempted = doctest.testmod(module)
-        assert attempted > 0 and failures == 0, module.__name__
-
-
 def test_normalization_strips_trailing_zeros():
     assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert IntPoly((0, 0, 0)).coeffs == ()
@@ -63,6 +51,11 @@ def test_add_examples():
     assert IntPoly((2,)) + X == IntPoly((2, 1))
     # the degree-2 Lucas polynomial plus 2 is x^2
     assert IntPoly((-2, 0, 1)) + IntPoly((2,)) == IntPoly((0, 0, 1))
+    # subtraction is negation plus addition, and takes only ints besides IntPoly
+    assert 3 - X == IntPoly((3, -1)) and X - 3 == IntPoly((-3, 1))
+    for left, right in ((2.5, X), (X, 2.5)):
+        with pytest.raises(TypeError):
+            left - right
 
 
 def test_mul_examples():
@@ -311,7 +304,7 @@ HUGE = 10**5000  # past the default 4300-digit int/str conversion limit
 @example(p=IntPoly((1, -2, 3)), inner=IntPoly((-HUGE, HUGE + 7)))
 @settings(max_examples=300, deadline=None)
 def test_linear_compose_matches_horner(p, inner):
-    assert p.compose(inner) == _compose_horner(p, inner)
+    assert p.compose(inner) == p(inner)
 
 
 @given(p=polys)
@@ -332,33 +325,56 @@ def test_stretch():
         X.stretch(0)
 
 
+def seeded_compositions(seed):
+    # Pairs (p, q) with q of degree 2 to 6, so p(q) runs the Horner loop.
+    rng = random.Random(seed)
+    for _ in range(30):
+        p = IntPoly(rng.randint(-50, 50) for _ in range(rng.randint(0, 9)))
+        q = IntPoly((*(rng.randint(-50, 50) for _ in range(rng.randint(2, 6))), rng.choice((-3, 1, 7))))
+        yield p, q
+
+
 def test_eval_int_examples():
-    assert X.eval_int(5) == 5
-    assert IntPoly((2, -4, 1)).eval_int(5) == 7
-    assert ZERO.eval_int(3) == 0
+    assert X(5) == 5
+    assert IntPoly((2, -4, 1))(5) == 7
+    assert ZERO(3) == 0
+    # At a polynomial the value is the composition, an IntPoly even when
+    # the polynomial evaluated is zero or constant.
+    q = IntPoly((1, -2, 0, 5))
+    for p, expected in ((ZERO, ZERO), (IntPoly((3,)), IntPoly((3,)))):
+        assert type(p(q)) is IntPoly and p(q) == expected
+    for p, q in seeded_compositions(11):
+        for a in (-7, 0, 1, 12):
+            assert p(q)(a) == p(q(a))
 
 
 @given(p=polys, q=polys, a=st.integers(min_value=-(10**6), max_value=10**6))
 def test_eval_is_ring_homomorphism(p, q, a):
-    assert (p * q).eval_int(a) == p.eval_int(a) * q.eval_int(a)
-    assert (p + q).eval_int(a) == p.eval_int(a) + q.eval_int(a)
+    assert (p * q)(a) == p(a) * q(a)
+    assert (p + q)(a) == p(a) + q(a)
+    assert (p - q)(a) == p(a) - q(a)
 
 
 def test_eval_rational():
-    assert X.eval_rational(Fraction(3, 2)) == Fraction(3, 2)
+    assert X(Fraction(3, 2)) == Fraction(3, 2)
     z2 = IntPoly((0, 4, -1))
-    assert z2.eval_rational(Fraction(-9, 4)) == Fraction(-225, 16)
+    assert z2(Fraction(-9, 4)) == Fraction(-225, 16)
     z3 = IntPoly((0, 9, -6, 1))
-    assert z3.eval_rational(Fraction(-9, 4)) == Fraction(-3969, 64)
-    assert z3.eval_rational(2) == Fraction(2)
+    assert z3(Fraction(-9, 4)) == Fraction(-3969, 64)
+    assert type(z3(Fraction(-9, 4))) is Fraction
+    assert z3(2) == 2 and type(z3(2)) is int
+    for p, q in seeded_compositions(12):
+        for a in (Fraction(-9, 4), Fraction(5, 7)):
+            assert p(q)(a) == p(q(a))
 
 
 def test_eval_float_near_roots():
-    assert X.eval_float(0.0) == 0.0
+    assert X(0.0) == 0.0
+    assert type(IntPoly((1, -4, 1))(0.5)) is float
     phi5 = IntPoly((5, -5, 1))
-    assert abs(phi5.eval_float(4 * math.sin(math.pi / 5) ** 2)) < 1e-9
+    assert abs(phi5(4 * math.sin(math.pi / 5) ** 2)) < 1e-9
     phi12 = IntPoly((1, -4, 1))
-    assert abs(phi12.eval_float(2 - math.sqrt(3))) < 1e-9
+    assert abs(phi12(2 - math.sqrt(3))) < 1e-9
 
 
 @given(p=polys, q=polys, r=polys)

@@ -165,7 +165,7 @@ def test_spread_matches_sine_numerically():
         p = spread(n)
         for t in (0.3, 0.7, 1.1):
             expected = math.sin(n * t) ** 2
-            assert abs(p.eval_float(math.sin(t) ** 2) - expected) < 1e-9
+            assert abs(p(math.sin(t) ** 2) - expected) < 1e-9
 
 
 def test_lucas_index_product_small():

@@ -6,6 +6,7 @@ import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
 import spreadpoly.intpoly as intpoly_mod
 from spreadpoly import run_suite, run_verification
+from spreadpoly.errors import OutOfBoundsError
 from spreadpoly.verify import SUITES
 
 
@@ -112,5 +113,5 @@ def test_every_registered_suite_runs():
 def test_bad_parameters():
     with pytest.raises(ValueError):
         run_verification(sweep=0)
-    with pytest.raises(KeyError):
+    with pytest.raises(OutOfBoundsError):
         run_suite("no-such-suite")
