@@ -1,8 +1,9 @@
 """Exception types raised by the spreadpoly kernel.
 
-Division by the zero polynomial raises the builtin ZeroDivisionError;
-everything else derives from SpreadPolyError so callers can catch the
-whole family at once.
+Division by the zero polynomial raises the builtin ZeroDivisionError, and
+an operand or coefficient that is not an int (a float, a Fraction, a
+string) raises the builtin TypeError; everything else derives from
+SpreadPolyError so callers can catch the whole family at once.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ class NotPalindromicError(SpreadPolyError):
 
 class OddDegreeError(SpreadPolyError):
     """Palindrome folding needs an even-degree polynomial."""
-
-
-class OddTermPresentError(SpreadPolyError):
-    """A polynomial expected to be even (a polynomial in x^2) has an odd term."""
 
 
 class InternalInconsistencyError(SpreadPolyError):
@@ -80,7 +77,7 @@ class IdentityFailureError(SpreadPolyError):
 
 
 class OutOfBoundsError(SpreadPolyError, ValueError):
-    """An index, sweep, exponent, tolerance or suite name outside the accepted range."""
+    """An index, sweep, exponent, tolerance, suite name or digit string outside the accepted range."""
 
 
 class ConfigurationError(SpreadPolyError):

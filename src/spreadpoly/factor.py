@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 
 from .errors import (
-    OddTermPresentError,
     OutOfBoundsError,
     RouteMismatchError,
     ToleranceExceededError,
     VerificationFailureError,
 )
 from .intpoly import IntPoly, X, div_exact, palindrome_fold, product
-from .sequences import CACHE, cyclotomic, divisors, lucas, zpread
+from .sequences import CACHE, _lucas_weights, cyclotomic, divisors, lucas, zpread
 
 
 @CACHE.family("psi", 1)
@@ -58,16 +57,13 @@ def psi(n: int) -> IntPoly:
 def phi_min(n: int) -> IntPoly:
     """Minimal polynomial of 4*sin^2(pi/n); the reference route.
 
-    phi_1 = x, phi_2 = x - 4, and for n >= 3 the reflection
-    (-1)^(totient(n)/2) * psi_n(2 - x), monic of degree totient(n)/2.
+    The reflection of psi_n through 2 - x with the monic sign restored, for
+    every n: psi_1 = x - 2 gives phi_1 = x and psi_2 = x + 2 gives
+    phi_2 = x - 4.
 
     >>> str(phi_min(7))
     '-7 + 14*x - 7*x^2 + x^3'
     """
-    if n == 1:
-        return X
-    if n == 2:
-        return IntPoly((-4, 1))
     return _reflect_monic(psi(n), 2)
 
 
@@ -93,26 +89,17 @@ class PhiRoute(enum.Enum):
 def phi_odd_lucas(m: int) -> IntPoly:
     """Recover phi_m for odd m from L_m(x) = x * prod of phi_d(x^2) over d | m, d > 1.
 
-    Both sides of L_m(x)/x are polynomials in y = x^2, so L_m/x is read in
-    y (after checking it has no odd-degree term) and divided there by the
-    phi_d(y) of the proper divisors d > 1.
+    Both sides of L_m(x)/x are polynomials in y = x^2: the coefficient of
+    y^j in L_m/x is the Lucas weight at x^(2j+1), so the reversed weights
+    of L_m give it in y, divided there by the phi_d(y) of the proper
+    divisors d > 1.  No Lucas polynomial is built or cached.
     """
     if m % 2 == 0:
         raise OutOfBoundsError("phi_odd_lucas index must be odd")
     if m == 1:
         return X
-    in_y = _unstretch2(IntPoly(lucas(m).coeffs[1:]), m)
+    in_y = IntPoly(_lucas_weights(m, 1)[::-1])
     return div_exact(in_y, product(phi_odd_lucas(d) for d in divisors(m)[1:-1]))
-
-
-def _unstretch2(p: IntPoly, m: int) -> IntPoly:
-    """The q with p(x) = q(x^2), for p = L_m/x at odd index m."""
-    cs = p.coeffs
-    if any(cs[i] for i in range(1, len(cs), 2)):
-        raise OddTermPresentError(
-            f"L_{m}/x for odd index {m} has odd-degree terms: {p}"
-        )
-    return IntPoly(cs[0::2])
 
 
 @CACHE.family("phi_pow2", 0)

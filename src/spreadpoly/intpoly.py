@@ -22,7 +22,7 @@ import heapq
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 from .errors import (
@@ -65,6 +65,9 @@ class IntPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = tuple(coeffs)
+        if not all(map(isinstance, cs, repeat(int))):
+            bad = next(c for c in cs if not isinstance(c, int))
+            raise TypeError(f"IntPoly coefficients must be int, not {type(bad).__name__}")
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1
@@ -276,12 +279,16 @@ def int_to_digits(c: int) -> str:
 
 
 def int_from_digits(s: str) -> int:
-    """``int(s)``, also beyond the interpreter's limit on converted digits."""
+    """``int(s)``, also beyond the interpreter's limit on converted digits.
+
+    Raises OutOfBoundsError, quoting the first 20 characters, when ``s`` is
+    not a decimal integer.
+    """
     try:
         return int(s)
     except ValueError:
         if not _DIGIT_STRING.fullmatch(s):
-            raise
+            raise OutOfBoundsError(f"not a decimal integer: {s[:20]!r}") from None
         return int(Decimal(s))
 
 

@@ -8,7 +8,6 @@ needs.  Everything is exact; results are memoized per family.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, TypeVar
 
 from .errors import InternalInconsistencyError, OutOfBoundsError
@@ -90,16 +89,25 @@ def lucas(n: int) -> IntPoly:
     """
     if n == 0:
         return IntPoly((2,))
-    # c_k = -c_{k-1} * (n-2k+2)(n-2k+1) / (k(n-k)), from c_0 = 1; each step
-    # divides exactly, a failure means the ratio was coded wrong.
     coeffs = [0] * (n + 1)
-    c = coeffs[n] = 1
+    coeffs[n::-2] = _lucas_weights(n, 1)
+    return IntPoly(coeffs)
+
+
+def _lucas_weights(n: int, lead: int) -> list[int]:
+    """The nonzero coefficients of lead * L_n, n >= 1: c_k at x^(n-2k), k = 0..n//2.
+
+    c_k = -c_{k-1} * (n-2k+2)(n-2k+1) / (k(n-k)) from c_0 = lead; each step
+    divides exactly, a failure means the ratio was coded wrong.
+    """
+    weights = [lead]
+    c = lead
     for k in range(1, n // 2 + 1):
         c, r = divmod(-c * (n - 2 * k + 2) * (n - 2 * k + 1), k * (n - k))
         if r:
             raise InternalInconsistencyError(f"lucas coefficient ({n},{k}) is not an integer")
-        coeffs[n - 2 * k] = c
-    return IntPoly(coeffs)
+        weights.append(c)
+    return weights
 
 
 @CACHE.family("cyclotomic", 1)
@@ -149,26 +157,17 @@ def _times_binomial(f: list[int], d: int, mu: int) -> list[int]:
 
 @CACHE.family("zpread", 1)
 def zpread(n: int) -> IntPoly:
-    """The degree-n zpread polynomial from its closed-form coefficients.
+    """The degree-n zpread polynomial, read from the Lucas weights at 2n.
 
-    The coefficient of x^k is (-1)^(k-1) * C(n+k-1, n-k) * n/k, built by a
-    running ratio whose divisions are checked exact; a failure means the
-    formula was coded wrong.
+    Z_n(x) = 2 - (-1)^n * L_2n(sqrt(x)), so the coefficient of x^k for
+    k >= 1 is that of x^(2k) in (-1)^(n+1) * L_2n, and the constant term
+    is 2 - 2 = 0.
 
     >>> str(zpread(3))
     '9*x - 6*x^2 + x^3'
     """
-    # u_k = C(n+k-1, n-k) from u_1 = C(n, n-1), stepping by
-    # u_{k+1} = u_k * (n+k)(n-k) / ((2k+1)(2k)).
-    coeffs = [0] * (n + 1)
-    u = math.comb(n, n - 1)
-    for k in range(1, n + 1):
-        c, r = divmod(u * n, k)
-        u, s = divmod(u * (n + k) * (n - k), (2 * k + 1) * (2 * k))
-        if r or s:
-            raise InternalInconsistencyError(f"zpread coefficient ({n},{k}) is not an integer")
-        coeffs[k] = c if k % 2 else -c
-    return IntPoly(coeffs)
+    weights = _lucas_weights(2 * n, 1 if n % 2 else -1)
+    return IntPoly((0, *weights[-2::-1]))
 
 
 def zpread_via_lucas(n: int) -> IntPoly:
@@ -195,8 +194,6 @@ def spread(n: int) -> IntPoly:
     '9*x - 24*x^2 + 16*x^3'
     """
     z = zpread(n).coeffs
-    if z and z[0]:
-        raise InternalInconsistencyError("zpread constant term must vanish")
     out = [0] * len(z)
     for k in range(1, len(z)):
         out[k] = z[k] * 4 ** (k - 1)

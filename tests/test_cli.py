@@ -289,6 +289,15 @@ DOMAIN_REFUSALS = {
     "stretch": (lambda: X.stretch(0), "stretch factor must be positive"),
     "pow": (lambda: X**-1, "negative powers are not defined for polynomials"),
     "run_suite": (lambda: verify.run_suite("nope"), "unknown verify suite 'nope'"),
+    "digit_string": (
+        lambda: IntPoly.from_coefficient_strings(["1a"]),
+        "not a decimal integer: '1a'",
+    ),
+    # Past the 4300-digit limit of Python 3.11 and later, where int() refuses it by length.
+    "long_digit_string": (
+        lambda: IntPoly.from_coefficient_strings(["7" * 5000 + "a"]),
+        "not a decimal integer: '77777777777777777777'",
+    ),
 }
 
 

@@ -151,12 +151,10 @@ def test_phi_odd_lucas_rejects_even():
         phi_odd_lucas(6)
 
 
-def test_unstretch_guard():
-    from spreadpoly.errors import OddTermPresentError
-
-    assert factor_mod._unstretch2(IntPoly((1, 0, -3, 0, 1)), 5) == IntPoly((1, -3, 1))
-    with pytest.raises(OddTermPresentError):
-        factor_mod._unstretch2(IntPoly((1, 2, 3)), 5)
+def test_phi_odd_lucas_caches_no_lucas():
+    CACHE.clear()
+    phi_odd_lucas(3465)
+    assert CACHE.table("lucas") == {}
 
 
 def test_phi_composed_golden():
@@ -192,7 +190,7 @@ def test_cross_check_examples():
 def test_phi_odd_lucas_matches_reference_above_the_sweep_cap():
     # Prime powers 3^6 and 3^7, the squarefree 3*5*7*11 and the mixed 3^2*5^3,
     # each built from an empty cache so every divisor goes through the route.
-    for m in (729, 1125, 1155, 2187):
+    for m in (729, 1125, 1155, 2187, 3465):
         CACHE.clear()
         assert phi_odd_lucas(m) == phi_min(m), m
 

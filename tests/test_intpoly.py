@@ -40,6 +40,12 @@ def test_normalization_strips_trailing_zeros():
     assert IntPoly(()).is_zero()
 
 
+def test_non_int_coefficients_are_refused():
+    for bad in (1.5, Fraction(1, 2), "3"):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            IntPoly((1, bad))
+
+
 def test_degree_sentinel():
     assert ZERO.degree() == -1
     assert IntPoly((7,)).degree() == 0

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,33 @@ def test_zpread_routes_agree_small():
         assert seq_mod.zpread.__wrapped__(n) == zpread_via_lucas(n), n
 
 
+def zpread_by_ratio(n):
+    """Z_n from its own closed form: the x^k coefficient is (-1)^(k-1) * C(n+k-1, n-k) * n/k.
+
+    u_k = C(n+k-1, n-k) runs from u_1 = n by u_{k+1} = u_k * (n+k)(n-k) / ((2k+1)(2k)).
+    """
+    coeffs = [0] * (n + 1)
+    u = n
+    for k in range(1, n + 1):
+        c, r = divmod(u * n, k)
+        u, s = divmod(u * (n + k) * (n - k), (2 * k + 1) * (2 * k))
+        assert not (r or s), (n, k)
+        coeffs[k] = c if k % 2 else -c
+    return IntPoly(coeffs)
+
+
+def test_lucas_weight_step_guard():
+    # A half-integer lead makes the first step, -lead * 5 * 4 / 4 = -5/2, inexact.
+    with pytest.raises(InternalInconsistencyError, match=r"lucas coefficient \(5,1\)"):
+        seq_mod._lucas_weights(5, Fraction(1, 2))
+    assert seq_mod._lucas_weights(5, 1) == [1, -5, 5]
+
+
+def test_zpread_matches_its_own_closed_form():
+    for n in [*range(1, 301), 2520, 2521, 9999, 10000]:
+        assert seq_mod.zpread.__wrapped__(n) == zpread_by_ratio(n), n
+
+
 def test_zpread_vanishes_at_origin():
     for n in range(1, 61):
         assert zpread(n).constant_term() == 0
@@ -221,27 +249,6 @@ def test_preconditions():
     for fn in (cyclotomic, zpread, zpread_via_lucas, monic_zpread, spread, totient, divisors):
         with pytest.raises(ValueError):
             fn(0)
-
-
-def test_zpread_integrality_guard(monkeypatch):
-    import spreadpoly.sequences as seq_mod
-    from spreadpoly import InternalInconsistencyError
-
-    broken = type("M", (), {"comb": staticmethod(lambda a, b: 1)})
-    monkeypatch.setattr(seq_mod, "math", broken)
-    with pytest.raises(InternalInconsistencyError):
-        seq_mod.zpread.__wrapped__(4)
-
-
-def test_zpread_recurrence_step_guard(monkeypatch):
-    # With C(2, 1) replaced by 1, the step to u_2 = 1*3*1/6 is inexact while
-    # every coefficient division stays exact, so only the step check fires.
-    from spreadpoly import InternalInconsistencyError
-
-    broken = type("M", (), {"comb": staticmethod(lambda a, b: 1)})
-    monkeypatch.setattr(seq_mod, "math", broken)
-    with pytest.raises(InternalInconsistencyError):
-        seq_mod.zpread.__wrapped__(2)
 
 
 def test_cache_store_returns_the_kept_value():
