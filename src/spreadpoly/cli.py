@@ -40,16 +40,19 @@ def _emit_record(obj: dict) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def _check_bounds(n: int, max_index: int) -> None:
-    if n > max_index:
-        raise OutOfBoundsError(f"index {n} exceeds the configured maximum {max_index}")
+def _emit_result(result, fmt: str) -> int:
+    """Print a factorization or primitive-part table as a record or as text."""
+    if fmt == "record":
+        _emit_record({**result.to_record(), "status": "ok"})
+    else:
+        print(result.to_text())
+    return 0
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
     builder, min_index = _FAMILIES[args.family]
     if args.n < min_index:
         raise OutOfBoundsError(f"family {args.family} needs n >= {min_index}")
-    _check_bounds(args.n, args.max_index)
     poly = builder(args.n, _ROUTES[args.route])
     if args.format == "record":
         _emit_record(
@@ -67,30 +70,15 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    _check_bounds(args.n, args.max_index)
     if args.target == "zpread":
         record = factor_mod.factor_zpread(args.n, _ROUTES[args.route])
     else:
         record = factor_mod.factor_lucas_minus2(args.n)
-    if args.format == "record":
-        payload = record.to_record()
-        payload["status"] = "ok"
-        _emit_record(payload)
-    else:
-        print(record.to_text())
-    return 0
+    return _emit_result(record, args.format)
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    _check_bounds(args.n, args.max_index)
-    table = fib_mod.fib_factorization(args.n)
-    if args.format == "record":
-        payload = table.to_record()
-        payload["status"] = "ok"
-        _emit_record(payload)
-    else:
-        print(table.to_text())
-    return 0
+    return _emit_result(fib_mod.fib_factorization(args.n), args.format)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -150,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.max_index = env_int("SPREADPOLY_MAX_INDEX", DEFAULT_MAX_INDEX, 1)
+        max_index = env_int("SPREADPOLY_MAX_INDEX", DEFAULT_MAX_INDEX, 1)
+        # show, factor and fib take an index n; verify takes a sweep.
+        if getattr(args, "n", 0) > max_index:
+            raise OutOfBoundsError(f"index {args.n} exceeds the configured maximum {max_index}")
         return args.func(args)
-    except (SpreadPolyError, ValueError, ZeroDivisionError) as exc:
+    except SpreadPolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import IdentityFailureError, OutOfBoundsError, VerificationFailureError
 from .factor import phi_min
-from .intpoly import palindrome_fold
+from .intpoly import int_to_digits, palindrome_fold
 from .sequences import cyclotomic, divisors, fibonacci, zpread
 
 
@@ -72,15 +72,15 @@ class PrimitivePartTable:
         return {
             "kind": "primitive_parts",
             "n": self.n,
-            "parts": [{"d": d, "p": str(p)} for d, p in self.parts],
-            "reconstructed": str(self.reconstructed),
+            "parts": [{"d": d, "p": int_to_digits(p)} for d, p in self.parts],
+            "reconstructed": int_to_digits(self.reconstructed),
         }
 
     def to_text(self) -> str:
-        product = " * ".join(str(p) for _, p in self.parts)
-        lines = [f"F[{self.n}] = {self.reconstructed} = {product}"]
+        product = " * ".join(int_to_digits(p) for _, p in self.parts)
+        lines = [f"F[{self.n}] = {int_to_digits(self.reconstructed)} = {product}"]
         for d, p in self.parts:
-            lines.append(f"  d={d}  p={p}")
+            lines.append(f"  d={d}  p={int_to_digits(p)}")
         return "\n".join(lines)
 
 
@@ -95,7 +95,8 @@ def fib_factorization(n: int) -> PrimitivePartTable:
     expected = fibonacci(n)
     if product != expected:
         raise VerificationFailureError(
-            f"primitive parts of {n} multiply to {product}, not F_{n} = {expected}"
+            f"primitive parts of {n} multiply to {int_to_digits(product)}, "
+            f"not F_{n} = {int_to_digits(expected)}"
         )
     return PrimitivePartTable(n, parts, product)
 

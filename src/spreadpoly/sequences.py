@@ -124,7 +124,7 @@ def cyclotomic(n: int) -> IntPoly:
     """
     s = 1
     mobius = [(1, 1)]  # (e, mu(e)) for every divisor e of s
-    for p in _prime_factors(n):
+    for p, _ in _factorize(n):
         s *= p
         mobius += [(e * p, -mu) for e, mu in mobius]
     coeffs = [1]
@@ -218,42 +218,37 @@ def fibonacci(n: int) -> int:
 
 
 def totient(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
+    """Euler's totient, from the prime factorization."""
     if n < 1:
         raise OutOfBoundsError("totient argument must be positive")
     result = n
-    for p in _prime_factors(n):
+    for p, _ in _factorize(n):
         result -= result // p
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n in ascending order, by trial division."""
-    primes = []
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The prime powers (p, e) of n >= 1 in ascending order of p, by trial division."""
+    powers = []
     p = 2
     while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            powers.append((p, e))
         p += 1 if p == 2 else 2
     if n > 1:
-        primes.append(n)
-    return primes
+        powers.append((n, 1))
+    return powers
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:
         raise OutOfBoundsError("divisors argument must be positive")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    divs = [1]
+    for p, e in _factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)

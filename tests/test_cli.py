@@ -410,3 +410,17 @@ def test_show_spread_beyond_the_digit_limit(capsys):
     proc = run_subprocess({"PYTHONINTMAXSTRDIGITS": "640"}, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out
+
+
+def test_fib_beyond_the_digit_limit(capsys):
+    # F_3100 has 648 digits, past a conversion limit of 640 digits.
+    for fmt in ("record", "text"):
+        argv = ("fib", "3100", "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        proc = run_subprocess({"PYTHONINTMAXSTRDIGITS": "640"}, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
+        if fmt == "record":
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == "b44774c26e2c082f2b2278ab2ccfedce762348649771e3c434a98a81689bde62"

@@ -239,10 +239,8 @@ def test_divisors_examples():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(49) == [1, 7, 49]
-    for n in range(1, 101):
-        ds = divisors(n)
-        assert ds == sorted(ds)
-        assert all(n % d == 0 for d in ds)
+    for n in [*range(1, 2001), 6561, 8192, 9240, 9973, 10000]:
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_preconditions():

@@ -5,7 +5,7 @@ import pytest
 import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
 import spreadpoly.intpoly as intpoly_mod
-from spreadpoly import run_suite, run_verification
+from spreadpoly import IntPoly, run_suite, run_verification
 from spreadpoly.errors import OutOfBoundsError
 from spreadpoly.verify import SUITES
 
@@ -32,6 +32,14 @@ def test_corrupted_route_is_caught_and_reported():
     assert result.failures == 1
     assert "n=9" in result.first_failure
     assert "routes disagree" in result.first_failure
+
+
+def test_integer_root_of_phi_is_caught(monkeypatch):
+    real = factor_mod.phi_min
+    with_root = real(7) * IntPoly((-1, 1))  # phi_7 * (x - 1) has the root 1
+    monkeypatch.setattr(factor_mod, "phi_min", lambda n: with_root if n == 7 else real(n))
+    result = run_suite("phi-no-integer-linear-factor", sweep=30)
+    assert (result.passed, result.checks, result.first_failure) == (False, 2, "n=7")
 
 
 def test_mul_path_equivalence_catches_a_kronecker_fault(monkeypatch):
