@@ -1,18 +1,10 @@
 """Fibonacci numbers factored into primitive parts.
 
-Evaluating the zpread factorization at 5 turns the polynomial identity into
-an integer one: F_n is the product over divisors d of n of the primitive
-parts p_d, where p_1 = p_2 = 1 and, for d >= 3, p_d = |phi_d(5)| with
-phi_d the minimal polynomial of 4*sin^2(pi/d).
-
-No minimal polynomial is built.  phi_d(5) = +-psi_d(2 - 5) = +-psi_d(-3),
-and psi_d = c_0 + sum_{k>=1} c_k * L_k with c_k the folded weights of the
-d-th cyclotomic polynomial.  Since 3 = a^2 + a^-2 for the golden ratio a,
-L_k(-3) = (-1)^k * Luc(2k), so
-
-    p_d = |c_0 + sum_{k>=1} (-1)^k * c_k * Luc(2k)|,
-
-which is summed at x = -3 by the scalar Clenshaw recurrence.
+At x = 5 the zpread factorization becomes F_n = prod_{d|n} p_d, with
+p_1 = p_2 = 1 and p_d = |phi_d(5)| for d >= 3, phi_d the minimal polynomial
+of 4*sin^2(pi/d).  No polynomial is built here: Moebius inversion gives
+p_n = prod_{e|n} F_{n/e}^mu(e), the product ``sequences.cyclotomic`` runs
+over x^e - 1, taken over Fibonacci numbers and closed by one exact division.
 ``part_from_minimal_polynomial`` keeps the definition |phi_d(5)| as the
 reference that ``verify`` checks these parts against.
 """
@@ -20,34 +12,38 @@ reference that ``verify`` checks these parts against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .errors import IdentityFailureError, OutOfBoundsError, VerificationFailureError
+from .errors import (
+    IdentityFailureError,
+    InternalInconsistencyError,
+    OutOfBoundsError,
+    VerificationFailureError,
+)
 from .factor import phi_min
-from .intpoly import int_to_digits, palindrome_fold
-from .sequences import cyclotomic, divisors, fibonacci, zpread
+from .intpoly import int_to_digits
+from .sequences import _mobius, divisors, fibonacci, zpread
 
 
 def primitive_part(n: int) -> int:
     """The positive integer attached to divisor n in the Fibonacci product.
 
-    p_1 = p_2 = 1; for n >= 3, p_n = |c_0 + sum_{k>=1} (-1)^k * c_k * Luc(2k)|
-    with c_k the folded weights of the n-th cyclotomic polynomial.
+    p_n = prod_{e|n} F_{n/e}^mu(e): the terms with mu(e) = +1 multiplied, then
+    divided exactly by those with mu(e) = -1 (else InternalInconsistencyError).
 
     >>> [primitive_part(n) for n in (1, 2, 3, 11, 12)]
     [1, 1, 2, 89, 6]
     """
     if n < 1:
         raise OutOfBoundsError("index must be positive")
-    if n <= 2:
-        return 1
-    c = palindrome_fold(cyclotomic(n))
-    # Clenshaw for L_k = x*L_{k-1} - L_{k-2} at x = -3, as factor.psi runs it
-    # on coefficient lists: b_k = c_k - 3*b_{k+1} - b_{k+2} and the sum is
-    # c_0 - 3*b_1 - 2*b_2.
-    b1 = b2 = 0
-    for k in range(len(c) - 1, 0, -1):
-        b1, b2 = c[k] - 3 * b1 - b2, b1
-    return abs(c[0] - 3 * b1 - 2 * b2)
+    mobius = _mobius(n)
+    part, rest = divmod(
+        prod(fibonacci(n // e) for e, mu in mobius if mu == 1),
+        prod(fibonacci(n // e) for e, mu in mobius if mu == -1),
+    )
+    if rest:
+        raise InternalInconsistencyError(f"Moebius quotient of Fibonacci numbers for {n} is inexact")
+    return part
 
 
 def part_from_minimal_polynomial(n: int) -> int:
@@ -55,8 +51,6 @@ def part_from_minimal_polynomial(n: int) -> int:
 
     Far slower than ``primitive_part``; ``fib_factorization`` never calls it.
     """
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     return 1 if n == 1 else abs(phi_min(n)(5))
 
 
@@ -85,13 +79,14 @@ class PrimitivePartTable:
 
 
 def fib_factorization(n: int) -> PrimitivePartTable:
-    """Primitive parts for every divisor of n, verified against F_n."""
+    """Primitive parts for every divisor of n, verified against F_n.
+
+    The check catches a wrong Moebius enumeration that still divides exactly.
+    """
     if n < 1:
         raise OutOfBoundsError("index must be positive")
     parts = tuple((d, primitive_part(d)) for d in divisors(n))
-    product = 1
-    for _, p in parts:
-        product *= p
+    product = prod(p for _, p in parts)
     expected = fibonacci(n)
     if product != expected:
         raise VerificationFailureError(
@@ -103,8 +98,6 @@ def fib_factorization(n: int) -> PrimitivePartTable:
 
 def zpread_at5_identity(n: int) -> bool:
     """Check Z_n(5) = (-1)^(n-1) * 5 * F_n^2 exactly; raises on mismatch."""
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     left = zpread(n)(5)
     f = fibonacci(n)
     right = 5 * f * f if n % 2 else -5 * f * f

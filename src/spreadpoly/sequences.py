@@ -122,15 +122,20 @@ def cyclotomic(n: int) -> IntPoly:
     >>> str(cyclotomic(6))
     '1 - x + x^2'
     """
-    s = 1
-    mobius = [(1, 1)]  # (e, mu(e)) for every divisor e of s
-    for p, _ in _factorize(n):
-        s *= p
-        mobius += [(e * p, -mu) for e, mu in mobius]
+    mobius = _mobius(n)
+    s = mobius[-1][0]
     coeffs = [1]
     for e, mu in sorted(mobius, key=lambda pair: -pair[1]):
         coeffs = _times_binomial(coeffs, s // e, mu)
     return IntPoly(coeffs).stretch(n // s)
+
+
+def _mobius(n: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for every squarefree divisor e of n >= 1; the last e is the radical of n."""
+    mobius = [(1, 1)]
+    for p, _ in _factorize(n):
+        mobius += [(e * p, -mu) for e, mu in mobius]
+    return mobius
 
 
 def _times_binomial(f: list[int], d: int, mu: int) -> list[int]:

@@ -6,7 +6,7 @@ import spreadpoly.fib as fib_mod
 from spreadpoly import (
     CACHE,
     IdentityFailureError,
-    IntPoly,
+    InternalInconsistencyError,
     VerificationFailureError,
     fib_factorization,
     fibonacci,
@@ -126,36 +126,31 @@ def test_identity_failure_carries_both_sides(monkeypatch):
 
 
 def test_verification_failure_on_bad_parts(monkeypatch):
-    monkeypatch.setattr(fib_mod, "fibonacci", lambda n: 999)
+    # Parts from a Moebius list cut to its first entry are F_d, which divide
+    # exactly but multiply to F_1 * F_2 * F_3 * F_6 = 16, not F_6 = 8.
+    monkeypatch.setattr(fib_mod, "_mobius", lambda n: [(1, 1)])
     with pytest.raises(VerificationFailureError):
         fib_mod.fib_factorization(6)
 
 
 def test_primitive_part_matches_minimal_polynomial_oracle():
     # The oracle builds the whole minimal polynomial, which primitive_part skips.
-    for d in [*range(1, 601), 2003, 2520, 4001]:
+    for d in [*range(1, 601), 2003, 2520, 4001, 9240, 9984, 10000]:
         expected = 1 if d == 1 else abs(phi_min(d)(5))
         assert primitive_part(d) == expected, d
 
 
-def test_fib_builds_no_minimal_polynomial():
+def test_fib_builds_no_polynomial():
     CACHE.clear()
     assert fib_factorization(840).reconstructed == fibonacci(840)
     assert CACHE.table("psi") == {}
     assert CACHE.table("phi_min") == {}
-    assert CACHE.table("cyclotomic")
+    assert CACHE.table("cyclotomic") == {}
 
 
-def test_product_check_sees_a_corrupted_weight(monkeypatch):
-    # Adding x^m to the palindromic Phi_12 of degree 2m moves c_0 by one,
-    # so p_12 changes and the parts no longer multiply to F_12.
-    real = fib_mod.cyclotomic
-
-    def corrupted(d):
-        poly = real(d)
-        return poly + IntPoly.monomial(poly.degree() // 2) if d == 12 else poly
-
-    monkeypatch.setattr(fib_mod, "cyclotomic", corrupted)
-    assert fib_mod.primitive_part(12) != 6
-    with pytest.raises(VerificationFailureError):
-        fib_mod.fib_factorization(12)
+def test_primitive_part_refuses_an_inexact_quotient(monkeypatch):
+    # F_12 moved by one no longer divides by F_6 * F_4 = 24.
+    real = fib_mod.fibonacci
+    monkeypatch.setattr(fib_mod, "fibonacci", lambda n: real(n) + 1 if n == 12 else real(n))
+    with pytest.raises(InternalInconsistencyError, match="for 12 is inexact"):
+        fib_mod.primitive_part(12)

@@ -65,14 +65,14 @@ def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch)
 
 
 def test_primitive_parts_suite_catches_a_wrong_product(monkeypatch):
-    # F_12 moves by 1; the product check inside fib_factorization must
-    # report it at n = 12.
+    # F_12 moves by 1; the exact Moebius quotient inside primitive_part
+    # must report it at n = 12.
     real = fib_mod.fibonacci
     monkeypatch.setattr(fib_mod, "fibonacci", lambda n: real(n) + 1 if n == 12 else real(n))
     result = run_suite("fibonacci-primitive-parts", sweep=20)
     assert (result.failures, result.first_failure) == (
         1,
-        "primitive parts of 12 multiply to 144, not F_12 = 145",
+        "Moebius quotient of Fibonacci numbers for 12 is inexact",
     )
 
 
