@@ -241,10 +241,12 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorizationRecord:
-    """A complete factorization with its re-multiplied, verified product.
+    """A complete factorization with its verified product.
 
-    ``factors`` is ascending in divisor; ``product`` equals the exact
-    product of poly^multiplicity over all entries.
+    ``factors`` is ascending in divisor and their degrees, with
+    multiplicity, sum to the degree of ``product``, the target polynomial.
+    The product of poly^multiplicity over all entries has the same exact
+    value as ``product`` at x = 5 and at x = -3.
     """
 
     target_kind: str
@@ -272,8 +274,10 @@ class FactorizationRecord:
 def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> FactorizationRecord:
     """Factor the degree-n zpread polynomial over the divisors of n.
 
-    One factor per divisor d, each of degree totient(d); the assembled
-    product is compared with the closed-form polynomial before returning.
+    One factor per divisor d, each of degree totient(d).  Before returning,
+    the degree sum and the exact values at x = 5 and x = -3 of the factors'
+    product are compared with the closed-form polynomial's; the factors are
+    not multiplied back together.
     """
     if n < 1:
         raise OutOfBoundsError("index must be positive")
@@ -294,14 +298,23 @@ def _checked_record(
 ) -> FactorizationRecord:
     """The record of ``factors``, once their product is seen to equal ``expected``.
 
-    The record holds ``expected`` itself as its product, not the equal copy
-    assembled here, so a cached target is not kept twice.
+    Seen means an equal degree and equal exact values at x = 5 and x = -3,
+    so no polynomial is multiplied.  No factor vanishes at either point:
+    the roots of capital_phi lie in [0, 4] and those of psi in [-2, 2].  At
+    3 or -1, Phi_3 = (x - 3)^2 or psi_3 = x + 1 would, and both sides would
+    be 0.  verify multiplies the factors back exactly.  The record holds
+    ``expected`` itself as its product, so a cached target is not kept twice.
     """
-    assembled = product(f.poly if f.multiplicity == 1 else f.poly**f.multiplicity for f in factors)
-    if assembled != expected:
+    degree = sum(f.poly.degree() * f.multiplicity for f in factors)
+    if degree != expected.degree():
         raise VerificationFailureError(
-            f"{label} factor product mismatch at n={n}: {assembled} != {expected}"
+            f"{label} factor product mismatch at n={n}: degree {degree} != {expected.degree()}"
         )
+    for a in (5, -3):
+        if math.prod(f.poly(a) ** f.multiplicity for f in factors) != expected(a):
+            raise VerificationFailureError(
+                f"{label} factor product mismatch at n={n}: the values at x = {a} differ"
+            )
     return FactorizationRecord(target_kind, n, tuple(factors), expected)
 
 

@@ -200,20 +200,22 @@ def _suite_phi_pow2_square_substitution(n_max: int) -> Check:
         yield f"n={n}", factor.phi_pow2(n + 1).stretch(2) == lucas(2**n)
 
 
+def _multiplied(record: factor.FactorizationRecord) -> IntPoly:
+    """The exact product of a record's factors, each to its multiplicity."""
+    return product(f.poly**f.multiplicity if f.multiplicity > 1 else f.poly for f in record.factors)
+
+
 def _suite_zpread_factorization(n_max: int) -> Check:
-    # factor_zpread raises VerificationFailureError unless the factors
-    # multiply back to zpread(n); the degree sum is checked here.
+    # factor_zpread checks the degrees and the values at 5 and -3 alone;
+    # here the factors are multiplied back together exactly.
     for n in range(1, n_max + 1):
-        record = factor.factor_zpread(n)
-        yield f"n={n}", sum(f.poly.degree() * f.multiplicity for f in record.factors) == n
+        yield f"n={n}", _multiplied(factor.factor_zpread(n)) == zpread(n)
 
 
 def _suite_lucas_minus2_factorization(n_max: int) -> Check:
-    # factor_lucas_minus2 raises VerificationFailureError unless the
-    # factors multiply back to L_n - 2.
+    # As above, for L_n - 2.
     for n in range(1, n_max + 1):
-        factor.factor_lucas_minus2(n)
-        yield f"n={n}", True
+        yield f"n={n}", _multiplied(factor.factor_lucas_minus2(n)) == lucas(n) - 2
 
 
 def _suite_phi_route_agreement(n_max: int) -> Check:

@@ -26,6 +26,7 @@ from spreadpoly import (
     zpread,
     zpread_at5_identity,
 )
+from spreadpoly.intpoly import product
 
 LUCAS = {
     0: (2,),
@@ -194,7 +195,8 @@ def test_criterion_2_zpread_factorization_sweep():
     failures = []
     for n in range(1, 301):
         record = factor_zpread(n)
-        if record.product != zpread(n):
+        # record.product is zpread(n) itself, so the factors are multiplied here.
+        if product(f.poly**f.multiplicity for f in record.factors) != zpread(n):
             failures.append(f"product n={n}")
         if sum(f.poly.degree() * f.multiplicity for f in record.factors) != n:
             failures.append(f"degree sum n={n}")

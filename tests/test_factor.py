@@ -1,5 +1,6 @@
 """Factor engine tests: minimal polynomials, routes, verified factorizations."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from spreadpoly import (
     capital_phi,
     cross_check_phi,
     cyclotomic,
+    divisors,
     factor_lucas_minus2,
     factor_zpread,
     float_root_check,
@@ -27,6 +29,7 @@ from spreadpoly import (
     totient,
     zpread,
 )
+from spreadpoly.intpoly import product
 from spreadpoly.sequences import CACHE
 
 PSI_TABLE = {
@@ -232,8 +235,10 @@ def test_factor_zpread_examples():
 
 
 def test_factor_zpread_fast_route_matches():
+    # record.product is zpread(n) itself, so the factors are multiplied here.
     for n in (6, 12, 20, 36):
-        assert factor_zpread(n, PhiRoute.COMPOSITION).product == zpread(n)
+        record = factor_zpread(n, PhiRoute.COMPOSITION)
+        assert product(f.poly**f.multiplicity for f in record.factors) == zpread(n)
 
 
 def test_factor_zpread_keeps_the_cached_target():
@@ -284,6 +289,82 @@ def test_factor_zpread_detects_product_mismatch(monkeypatch):
     monkeypatch.setattr(factor_mod, "zpread", lambda n: IntPoly((1, 1)))
     with pytest.raises(VerificationFailureError):
         factor_mod.factor_zpread(3)
+
+
+def test_product_check_points_are_no_roots():
+    # factor compares values at 5 and -3; a factor that vanished there would
+    # make both sides 0 whatever the other factors are.  3 and -1 would not
+    # do: Phi_3 = (x - 3)^2 and psi_3 = x + 1.
+    for d in range(1, 401):
+        for poly in (
+            capital_phi(d, PhiRoute.MINIMAL_POLY),
+            capital_phi(d, PhiRoute.COMPOSITION),
+            psi(d),
+        ):
+            assert poly(5) != 0 and poly(-3) != 0, d
+    assert capital_phi(3)(3) == 0 and psi(3)(-1) == 0
+
+
+MISMATCH = "factor product mismatch at n="
+
+
+def _raise_one_coefficient(monkeypatch, builder, d, k, delta):
+    """Patch factor_mod.<builder> to move coefficient k of its factor at d by delta."""
+    real = getattr(factor_mod, builder)
+
+    def wrong_at_d(m, *route):
+        poly = real(m, *route)
+        if m != d:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[k] += delta
+        return IntPoly(coeffs)
+
+    monkeypatch.setattr(factor_mod, builder, wrong_at_d)
+
+
+@pytest.mark.parametrize(
+    "builder,build",
+    [
+        pytest.param("capital_phi", factor_zpread, id="zpread min"),
+        pytest.param(
+            "capital_phi", lambda n: factor_zpread(n, PhiRoute.COMPOSITION), id="zpread fast"
+        ),
+        pytest.param("psi", factor_lucas_minus2, id="lucas"),
+    ],
+)
+def test_product_check_catches_one_wrong_coefficient(monkeypatch, builder, build):
+    rng = random.Random(5)
+    for n in range(1, 121):
+        d = rng.choice(divisors(n))
+        k = rng.randrange(getattr(factor_mod, builder)(d).degree() + 1)
+        delta = rng.choice((1, -1))
+        with monkeypatch.context() as m:
+            _raise_one_coefficient(m, builder, d, k, delta)
+            with pytest.raises(VerificationFailureError, match=f"{MISMATCH}{n}:"):
+                build(n)
+
+
+def test_product_check_catches_one_wrong_coefficient_at_the_cap(monkeypatch):
+    try:
+        for builder, build in (("capital_phi", factor_zpread), ("psi", factor_lucas_minus2)):
+            for k, delta in ((0, 1), (1, -1)):
+                with monkeypatch.context() as m:
+                    _raise_one_coefficient(m, builder, 12, k, delta)
+                    with pytest.raises(VerificationFailureError, match=MISMATCH + "9240:"):
+                        build(9240)
+            assert build(9240).n == 9240
+    finally:
+        CACHE.clear()
+
+
+def test_factor_multiplies_no_factors(monkeypatch):
+    def refuse(polys):
+        raise AssertionError("factor multiplied its factors")
+
+    CACHE.clear()
+    monkeypatch.setattr(factor_mod, "product", refuse)
+    assert factor_zpread(1260, PhiRoute.MINIMAL_POLY).product is zpread(1260)
 
 
 def test_float_root_check_examples():
