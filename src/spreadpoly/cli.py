@@ -19,7 +19,7 @@ from .factor import PhiRoute
 
 DEFAULT_MAX_INDEX = 10_000
 # verify --sweep S runs six suites over every n <= S, in time growing about
-# as S^2.6: S = 400 took 5.3-5.9 s and S = 500 took 11.0 s on a 2-vCPU VM
+# as S^2: S = 400 took 3.2-3.9 s and S = 500 took 5.2-6.2 s on a 2-vCPU VM
 # (Python 3.11.7), against the 10 s budget of one command.
 MAX_SWEEP = 400
 

@@ -7,12 +7,16 @@ empty tuple.  Values are immutable and safe to share between threads.
 
 ``p(a)`` evaluates by Horner's rule: exactly at an ``int`` or a
 ``fractions.Fraction``, in double precision at a ``float``, and as the
-composition p(a(x)) at an ``IntPoly``.
+composition p(a(x)) at an ``IntPoly``.  ``p.compose(q)`` computes the same
+composition on coefficient lists: a Taylor shift for a linear ``q``, else
+Horner on lists with one ``IntPoly`` built at the end; ``p(q)`` is the
+reference it is checked against.
 
-Every product goes through ``IntPoly.__mul__``: schoolbook for short
-operands, Kronecker substitution otherwise.  ``mul_schoolbook`` is the
-oracle it is checked against.  ``palindrome_fold`` returns the central
-weights of a palindromic polynomial as a plain tuple.
+Every product goes through one list-level kernel: for short operands a
+schoolbook that skips the zero coefficients of both, Kronecker
+substitution otherwise.  ``mul_schoolbook``, the dense quadratic loop, is
+the reference it is checked against.  ``palindrome_fold`` returns the
+central weights of a palindromic polynomial as a plain tuple.
 """
 
 from __future__ import annotations
@@ -135,9 +139,7 @@ class IntPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
-        if min(len(a), len(b)) <= _MUL_THRESHOLD:
-            return IntPoly(_mul_schoolbook(a, b))
-        return IntPoly(_mul_kronecker(a, b))
+        return IntPoly(_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -167,14 +169,16 @@ class IntPoly:
         """Substitute ``inner`` for the variable.
 
         A linear ``inner`` a + b*x is a Taylor shift on coefficient lists;
-        any other ``inner`` goes through ``self(inner)``.
+        any other ``inner`` runs Horner's rule on lists, each step one
+        product by the list kernel.  ``self(inner)``, Horner's rule through
+        ``IntPoly`` values, is the reference both are checked against.
 
         >>> str(IntPoly((-3, 1)).compose(IntPoly((4, -1))))
         '1 - x'
         """
         if len(inner._coeffs) == 2:
             return IntPoly(_compose_linear(self._coeffs, *inner._coeffs))
-        return self(inner)
+        return IntPoly(_compose_horner(self._coeffs, inner._coeffs))
 
     def stretch(self, k: int) -> IntPoly:
         """Substitute x^k for x by spreading coefficients; exact and cheap.
@@ -295,6 +299,24 @@ def int_from_digits(s: str) -> int:
 # -- multiplication kernels ----------------------------------------------
 
 
+def _mul(a, b) -> list[int]:
+    # The product of two nonempty coefficient sequences.  Up to the threshold
+    # the longer operand runs in the outer loop and the inner loop visits only
+    # the nonzero coefficients of the shorter one, so the parity-sparse Lucas,
+    # cyclotomic and zpread operands cost half their length or less.
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > _MUL_THRESHOLD:
+        return _mul_kronecker(a, b)
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in terms:
+                out[i + j] += ai * bj
+    return out
+
+
 def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -377,6 +399,18 @@ def _compose_linear(cs: tuple[int, ...], a: int, b: int) -> list[int]:
     return r
 
 
+def _compose_horner(cs, inner) -> list[int]:
+    # Horner in lists, acc <- acc*inner + c from the top coefficient down,
+    # for a nonempty inner; a zero inner leaves the constant term p(0).
+    if not cs or not inner:
+        return list(cs[:1])
+    acc = [cs[-1]]
+    for c in cs[-2::-1]:
+        acc = _mul(acc, inner)
+        acc[0] += c
+    return acc
+
+
 def _seq_add(a, b) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
@@ -410,7 +444,10 @@ def _mul_dispatch(a, b, threshold: int) -> list[int]:
 
 
 def mul_schoolbook(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Exact product by the quadratic path, regardless of size."""
+    """Exact product by the dense quadratic loop, regardless of size.
+
+    The reference every product of ``IntPoly.__mul__`` is checked against.
+    """
     if p.is_zero() or q.is_zero():
         return ZERO
     return IntPoly(_mul_schoolbook(p.coeffs, q.coeffs))

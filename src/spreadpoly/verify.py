@@ -13,7 +13,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterator
 
-from . import factor, fib, sequences
+from . import factor, fib
 from .errors import OutOfBoundsError, SpreadPolyError
 from .intpoly import (
     IntPoly,
@@ -90,8 +90,13 @@ Check = Iterator[tuple[str, bool]]
 
 
 def _suite_zpread_two_routes(n_max: int) -> Check:
+    # Z_n = 2 - W_n for W_n = L_n(2 - x), stepped by the Lucas recurrence
+    # in 2 - x, one linear-time step per n and no Lucas weight read.
+    two_minus_x = IntPoly((2, -1))
+    w_prev, w = IntPoly((2,)), two_minus_x
     for n in range(1, n_max + 1):
-        yield f"n={n}", zpread(n) == sequences.zpread_via_lucas(n)
+        yield f"n={n}", zpread(n) == 2 - w
+        w_prev, w = w, two_minus_x * w - w_prev
 
 
 def _suite_zpread_zero_at_origin(n_max: int) -> Check:
@@ -341,6 +346,8 @@ def _suite_fold_round_trip(n_max: int) -> Check:
 
 
 def _suite_mul_path_equivalence(n_max: int) -> Check:
+    # p * q takes the zero-skipping schoolbook or the Kronecker kernel;
+    # mul_schoolbook is the dense reference loop.
     rng = random.Random(_RNG_SEED + 3)
     span = 2 * get_mul_threshold()
     for i in range(_INSTANCES):

@@ -23,7 +23,9 @@ from spreadpoly import (
     ONE,
     X,
     ZERO,
+    cyclotomic,
     div_exact,
+    lucas,
     mul_karatsuba,
     mul_schoolbook,
     palindrome_fold,
@@ -32,6 +34,7 @@ from spreadpoly import (
 coeffs_st = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=17)
 polys = st.builds(IntPoly, coeffs_st)
 small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-20, max_value=20), max_size=5))
+HUGE = 10**5000  # past the default 4300-digit int/str conversion limit
 
 
 def test_normalization_strips_trailing_zeros():
@@ -167,6 +170,45 @@ def test_kronecker_beyond_the_digit_limit():
     assert a * a == mul_schoolbook(a, a)
 
 
+# Operands of the zero-skipping small path: explicit zeros among mixed
+# signs, the parity-sparse Lucas and stretched cyclotomic polynomials,
+# single coefficients, and coefficients past 10^5000.
+signed_with_zeros = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6)), min_size=1, max_size=40
+)
+huge_coeffs = st.lists(
+    st.one_of(st.just(0), st.sampled_from((HUGE, -HUGE, HUGE + 1, -HUGE + 7))), min_size=1, max_size=12
+)
+small_path_operands = st.one_of(
+    st.builds(IntPoly, signed_with_zeros),
+    st.integers(min_value=0, max_value=40).map(lucas),
+    st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=4)).map(
+        lambda nk: cyclotomic(nk[0]).stretch(nk[1])
+    ),
+    st.builds(lambda c: IntPoly((c,)), st.one_of(st.integers(min_value=-9, max_value=9), st.just(-HUGE))),
+    st.builds(IntPoly, huge_coeffs),
+)
+
+
+def unbalanced(short_len, long_len, seed):
+    rng = random.Random(seed)
+    short = IntPoly([rng.choice((0, -1, 1)) * rng.randint(1, 10**9) for _ in range(short_len - 1)] + [-3])
+    long = IntPoly([rng.choice((0, rng.randint(-(10**6), 10**6))) for _ in range(long_len - 1)] + [5])
+    return short, long
+
+
+@given(p=small_path_operands, q=small_path_operands)
+@example(p=IntPoly((-7,)), q=unbalanced(1, 200, 1)[1])
+@example(p=unbalanced(21, 400, 2)[0], q=unbalanced(21, 400, 2)[1])
+@example(p=lucas(32), q=cyclotomic(105).stretch(3))
+@example(p=IntPoly((0, 0, HUGE, 0, -HUGE)), q=lucas(9))
+@settings(max_examples=200, deadline=None)
+def test_small_products_match_the_dense_schoolbook(p, q):
+    expected = mul_schoolbook(p, q)
+    assert p * q == expected
+    assert q * p == expected
+
+
 def left_fold(polys):
     result = ONE
     for p in polys:
@@ -300,7 +342,6 @@ linear_inners = st.one_of(
     st.tuples(st.just(0), wide_coeffs.filter(bool)),
     st.tuples(wide_coeffs, wide_coeffs.filter(bool)),
 ).map(IntPoly)
-HUGE = 10**5000  # past the default 4300-digit int/str conversion limit
 
 
 @given(p=st.builds(IntPoly, st.lists(wide_coeffs, max_size=40)), inner=linear_inners)
@@ -310,6 +351,29 @@ HUGE = 10**5000  # past the default 4300-digit int/str conversion limit
 @example(p=IntPoly((1, -2, 3)), inner=IntPoly((-HUGE, HUGE + 7)))
 @settings(max_examples=300, deadline=None)
 def test_linear_compose_matches_horner(p, inner):
+    assert p.compose(inner) == p(inner)
+
+
+# Inners that are not linear: zero, constants, sparse inners with a zero
+# constant term, dense ones of up to 40 coefficients, and HUGE coefficients.
+# An outer of three or more coefficients and an inner over 32 make a Horner
+# step whose operands are both longer than 32, so it takes Kronecker.
+nonlinear_inners = st.one_of(
+    st.sampled_from((ZERO, ONE, IntPoly((-7,)), IntPoly((HUGE,)), IntPoly((0, 0, 1)), IntPoly((0, 3, 0, -2)))),
+    st.builds(IntPoly, st.lists(wide_coeffs, min_size=3, max_size=40)),
+).filter(lambda q: q.degree() != 1)
+
+
+@given(p=st.builds(IntPoly, st.lists(wide_coeffs, max_size=8)), inner=nonlinear_inners)
+@example(p=ZERO, inner=IntPoly((0, 0, 1)))
+@example(p=IntPoly((-5,)), inner=IntPoly((1, 2, 3)))
+@example(p=IntPoly((1, -2, 3)), inner=ZERO)
+@example(p=IntPoly((4, 0, -1)), inner=IntPoly((9,)))
+@example(p=IntPoly((HUGE, 0, -HUGE + 1, 3)), inner=IntPoly((0, -1, 0, 1)))
+@example(p=IntPoly((1, 2, 3)), inner=IntPoly((HUGE, -1, 0, HUGE + 7)))
+@example(p=IntPoly(range(-3, 4)), inner=IntPoly((*range(1, 40), -1)))
+@settings(max_examples=150, deadline=None)
+def test_nonlinear_compose_matches_horner(p, inner):
     assert p.compose(inner) == p(inner)
 
 

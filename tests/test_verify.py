@@ -5,7 +5,8 @@ import pytest
 import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
 import spreadpoly.intpoly as intpoly_mod
-from spreadpoly import IntPoly, run_suite, run_verification
+import spreadpoly.verify as verify_mod
+from spreadpoly import IntPoly, run_suite, run_verification, zpread_via_lucas
 from spreadpoly.errors import OutOfBoundsError
 from spreadpoly.verify import SUITES
 
@@ -54,6 +55,21 @@ def test_mul_path_equivalence_catches_a_kronecker_fault(monkeypatch):
     result = run_suite("mul-path-equivalence")
     assert not result.passed
     assert result.first_failure.startswith("instance=")
+
+
+def test_zpread_oracle_matches_the_lucas_reflection(monkeypatch):
+    # The suite compares zpread(n) with 2 - W_n from the recurrence in 2 - x;
+    # with 2 - L_n(2 - x) in place of zpread, every n up to 120 must pass.
+    monkeypatch.setattr(verify_mod, "zpread", zpread_via_lucas)
+    result = run_suite("zpread-two-routes", sweep=120)
+    assert (result.passed, result.checks) == (True, 120)
+
+
+def test_zpread_two_routes_catches_a_moved_coefficient(monkeypatch):
+    real = verify_mod.zpread
+    monkeypatch.setattr(verify_mod, "zpread", lambda n: real(n) + IntPoly.monomial(5) if n == 37 else real(n))
+    result = run_suite("zpread-two-routes", sweep=50)
+    assert (result.failures, result.checks, result.first_failure) == (1, 37, "n=37")
 
 
 def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch):
