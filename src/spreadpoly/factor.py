@@ -140,12 +140,9 @@ def phi_composed(n: int) -> IntPoly:
     return odd_part.compose(phi_pow2(k) ** 2)
 
 
-_ROUTE_BUILDERS = {
-    PhiRoute.MINIMAL_POLY: phi_min,
-    PhiRoute.ODD_LUCAS: phi_odd_lucas,
-    PhiRoute.POWER_OF_TWO: lambda n: phi_pow2(n.bit_length() - 1),
-    PhiRoute.COMPOSITION: phi_composed,
-}
+# The two routes that build every index; phi_composed reaches the
+# odd-index and power-of-two routes itself.
+_ROUTE_BUILDERS = {PhiRoute.MINIMAL_POLY: phi_min, PhiRoute.COMPOSITION: phi_composed}
 
 
 def applicable_routes(n: int) -> list[PhiRoute]:
@@ -167,21 +164,21 @@ _CORRUPTED_PHI: contextvars.ContextVar[int | None] = contextvars.ContextVar(
 
 
 def cross_check_phi(n: int) -> IntPoly:
-    """Compute phi_n by every applicable route and demand exact agreement.
+    """Compute phi_n on the reference and the composition route and demand exact agreement.
 
-    Returns the reference polynomial; raises RouteMismatchError carrying
-    both polynomials on the first disagreement.
+    The composition route builds an odd n by the odd-index route and a power
+    of two by its recursion, so the candidate carries the label
+    ``applicable_routes(n)[1]``.  Returns the reference polynomial; raises
+    RouteMismatchError carrying both polynomials if they differ.
     """
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
-    routes = applicable_routes(n)
-    reference = _ROUTE_BUILDERS[routes[0]](n)
+    reference = phi_min(n)
     if n == _CORRUPTED_PHI.get():
         reference = reference + 1
-    for route in routes[1:]:
-        candidate = _ROUTE_BUILDERS[route](n)
-        if candidate != reference:
-            raise RouteMismatchError(n, routes[0], reference, route, candidate)
+    candidate = phi_composed(n)
+    if candidate != reference:
+        raise RouteMismatchError(
+            n, PhiRoute.MINIMAL_POLY, reference, applicable_routes(n)[1], candidate
+        )
     return reference
 
 
@@ -204,13 +201,12 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
     """The zpread factor attached to divisor n: x, then 4 - x, then phi_n squared.
 
     Degree is totient(n) for every n.  ``route`` picks which construction
-    supplies phi_n for n >= 3 and must be a total route (reference or
-    composition).
+    supplies phi_n for n >= 3 and must be a key of ``_ROUTE_BUILDERS``, a
+    route that builds every index; anything else raises OutOfBoundsError.
     """
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
-    if route not in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
-        raise OutOfBoundsError(f"route {route.value} cannot build every index")
+    if route not in _ROUTE_BUILDERS:
+        name = getattr(route, "value", repr(route))
+        raise OutOfBoundsError(f"route {name} cannot build every index")
     return CACHE.get_or_compute(f"capital_phi:{route.value}", n, lambda: _capital_phi(n, route))
 
 
@@ -279,16 +275,12 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
     product are compared with the closed-form polynomial's; the factors are
     not multiplied back together.
     """
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     factors = [Factor(d, 1, capital_phi(d, route)) for d in divisors(n)]
     return _checked_record("zpread", n, factors, zpread(n), "zpread")
 
 
 def factor_lucas_minus2(n: int) -> FactorizationRecord:
     """Factor L_n - 2: simple factors at divisors 1 and 2, squares elsewhere."""
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     factors = [Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n)]
     return _checked_record("lucas_minus_2", n, factors, lucas(n) - 2, "Lucas")
 

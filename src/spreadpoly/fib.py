@@ -83,8 +83,6 @@ def fib_factorization(n: int) -> PrimitivePartTable:
 
     The check catches a wrong Moebius enumeration that still divides exactly.
     """
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     parts = tuple((d, primitive_part(d)) for d in divisors(n))
     product = prod(p for _, p in parts)
     expected = fibonacci(n)

@@ -283,17 +283,24 @@ def int_to_digits(c: int) -> str:
 
 
 def int_from_digits(s: str) -> int:
-    """``int(s)``, also beyond the interpreter's limit on converted digits.
+    """The integer an optional sign and ASCII decimal digits spell, at any length.
 
-    Raises OutOfBoundsError, quoting the first 20 characters, when ``s`` is
-    not a decimal integer.
+    Raises OutOfBoundsError, quoting the first 20 characters, for any other
+    string, including the spaces, underscores and non-ASCII digits that
+    ``int`` accepts.
     """
+    if not _DIGIT_STRING.fullmatch(s):
+        raise OutOfBoundsError(f"not a decimal integer: {s[:20]!r}")
+    return _digits_to_int(s)
+
+
+def _digits_to_int(digits: str) -> int:
+    # int(digits) for a string already known to be decimal digits, also
+    # beyond the interpreter's limit on converted digits.
     try:
-        return int(s)
+        return int(digits)
     except ValueError:
-        if not _DIGIT_STRING.fullmatch(s):
-            raise OutOfBoundsError(f"not a decimal integer: {s[:20]!r}") from None
-        return int(Decimal(s))
+        return int(Decimal(digits))
 
 
 # -- multiplication kernels ----------------------------------------------
@@ -379,7 +386,7 @@ def _kronecker_unpack(packed: Decimal, k: int, length: int) -> list[int]:
     out = []
     borrow = False
     for i in range((length - 1) * k, -1, -k):
-        c = int_from_digits(digits[i : i + k]) + borrow
+        c = _digits_to_int(digits[i : i + k]) + borrow
         borrow = c >= half
         out.append(c - base if borrow else c)
     return [-c for c in out] if packed.is_signed() else out

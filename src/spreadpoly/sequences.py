@@ -252,7 +252,7 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:
-        raise OutOfBoundsError("divisors argument must be positive")
+        raise OutOfBoundsError("index must be positive")
     divs = [1]
     for p, e in _factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]

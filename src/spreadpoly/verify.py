@@ -417,6 +417,8 @@ def run_suite(name: str, sweep: int = 200) -> SuiteResult:
     factory = dict(SUITES).get(name)
     if factory is None:
         raise OutOfBoundsError(f"unknown verify suite {name!r}")
+    if sweep < 1:
+        raise OutOfBoundsError("sweep bound must be at least 1")
     start = perf_counter()
     checks = failures = 0
     first: str | None = None
@@ -436,6 +438,4 @@ def run_suite(name: str, sweep: int = 200) -> SuiteResult:
 
 def run_verification(sweep: int = 200) -> VerifyReport:
     """Run every suite and collect a report."""
-    if sweep < 1:
-        raise OutOfBoundsError("sweep bound must be at least 1")
     return VerifyReport([run_suite(name, sweep) for name, _ in SUITES])

@@ -289,9 +289,39 @@ DOMAIN_REFUSALS = {
     "stretch": (lambda: X.stretch(0), "stretch factor must be positive"),
     "pow": (lambda: X**-1, "negative powers are not defined for polynomials"),
     "run_suite": (lambda: verify.run_suite("nope"), "unknown verify suite 'nope'"),
+    "run_suite_sweep_zero": (
+        lambda: verify.run_suite("lucas-index-product", 0),
+        "sweep bound must be at least 1",
+    ),
+    "run_suite_sweep_negative": (
+        lambda: verify.run_suite("lucas-index-product", -1),
+        "sweep bound must be at least 1",
+    ),
+    # A route must be a PhiRoute; the CLI's "min" and "fast" are not routes.
+    "capital_phi_route_name": (
+        lambda: factor_mod.capital_phi(3, "fast"),
+        "route 'fast' cannot build every index",
+    ),
+    "factor_zpread_route_name": (
+        lambda: factor_mod.factor_zpread(12, "fast"),
+        "route 'fast' cannot build every index",
+    ),
     "digit_string": (
         lambda: IntPoly.from_coefficient_strings(["1a"]),
         "not a decimal integer: '1a'",
+    ),
+    # int() accepts these three; the digit-string rule refuses them at any length.
+    "digit_string_space": (
+        lambda: IntPoly.from_coefficient_strings([" 7"]),
+        "not a decimal integer: ' 7'",
+    ),
+    "digit_string_underscore": (
+        lambda: IntPoly.from_coefficient_strings(["1_0"]),
+        "not a decimal integer: '1_0'",
+    ),
+    "digit_string_arabic_indic": (
+        lambda: IntPoly.from_coefficient_strings(["\u0663"]),
+        "not a decimal integer: '\u0663'",
     ),
     # Past the 4300-digit limit of Python 3.11 and later, where int() refuses it by length.
     "long_digit_string": (

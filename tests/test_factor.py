@@ -204,16 +204,20 @@ def test_cross_check_sweep_small():
 
 
 def test_corrupted_phi_reports_mismatch():
-    with factor_mod.corrupted_phi(9):
-        with pytest.raises(RouteMismatchError) as excinfo:
-            cross_check_phi(9)
-        err = excinfo.value
-        assert err.n == 9
-        assert err.poly_a == phi_min(9) + 1
-        assert err.poly_b == phi_min(9)
-        assert "9" in str(err)
-    # the hook restores the original route
-    cross_check_phi(9)
+    # The candidate is labelled with the route that built it.
+    for n, label in ((1, "odd_lucas"), (9, "odd_lucas"), (16, "power_of_two"), (24, "composition")):
+        with factor_mod.corrupted_phi(n):
+            with pytest.raises(RouteMismatchError) as excinfo:
+                cross_check_phi(n)
+            err = excinfo.value
+            assert err.n == n
+            assert (err.route_a, err.route_b.value) == (PhiRoute.MINIMAL_POLY, label)
+            assert err.poly_a == phi_min(n) + 1
+            assert err.poly_b == phi_min(n)
+            assert str(err).startswith(f"routes disagree at n={n}: minimal_poly gave ")
+            assert f", {label} gave " in str(err)
+        # the hook restores the original route
+        cross_check_phi(n)
 
 
 def test_factor_zpread_examples():
