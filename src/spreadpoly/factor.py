@@ -1,10 +1,13 @@
 """Irreducible factors of the zpread polynomials, by three independent routes.
 
 For index n the factor attached to divisor d is built from the minimal
-polynomial of 4*sin^2(pi/d).  The reference route folds the cyclotomic
-polynomial into the Lucas basis and reflects it; two alternate routes
-recover the same polynomial from Lucas factorizations (odd index) and a
-quadratic recursion (powers of two), and their agreement is the kernel's
+polynomial phi_d of 4*sin^2(pi/d).  The reference route folds the
+cyclotomic polynomial into the Lucas basis and reflects it.  The
+composition route uses Z_t(4*sin^2(a)) = 4*sin^2(t*a): phi_n is
++-phi_b(Z_{n/b}) whenever n/b repeats only primes of b, and phi_2m is
++-phi_m(4 - x) for odd m.  So it divides Lucas weights only at odd
+squarefree indices and composes every other index from one of them or
+from phi_4 = x - 2.  The agreement of the two routes is the kernel's
 primary bug detector.
 """
 
@@ -24,7 +27,7 @@ from .errors import (
     VerificationFailureError,
 )
 from .intpoly import IntPoly, X, div_exact, palindrome_fold, product
-from .sequences import CACHE, _lucas_weights, cyclotomic, divisors, lucas, zpread
+from .sequences import CACHE, _lucas_weights, _mobius, cyclotomic, divisors, lucas, zpread
 
 
 @CACHE.family("psi", 1)
@@ -64,16 +67,12 @@ def phi_min(n: int) -> IntPoly:
     >>> str(phi_min(7))
     '-7 + 14*x - 7*x^2 + x^3'
     """
-    return _reflect_monic(psi(n), 2)
+    return _monic(psi(n).compose(IntPoly((2, -1))))
 
 
-def _reflect_monic(p: IntPoly, a: int) -> IntPoly:
-    """The monic polynomial whose roots are a minus the roots of monic p.
-
-    p(a - x) leads with (-1)^deg, so the sign is restored by that factor.
-    """
-    reflected = p.compose(IntPoly((a, -1)))
-    return -reflected if reflected.degree() % 2 else reflected
+def _monic(p: IntPoly) -> IntPoly:
+    """p or -p, whichever leads with +1; p must lead with +1 or -1."""
+    return -p if p.leading_coefficient() < 0 else p
 
 
 class PhiRoute(enum.Enum):
@@ -87,24 +86,29 @@ class PhiRoute(enum.Enum):
 
 @CACHE.family("phi_odd_lucas", 1)
 def phi_odd_lucas(m: int) -> IntPoly:
-    """Recover phi_m for odd m from L_m(x) = x * prod of phi_d(x^2) over d | m, d > 1.
+    """phi_m for odd m, divided out of L_m at the radical s of m and composed up.
 
-    Both sides of L_m(x)/x are polynomials in y = x^2: the coefficient of
-    y^j in L_m/x is the Lucas weight at x^(2j+1), so the reversed weights
-    of L_m give it in y, divided there by the phi_d(y) of the proper
-    divisors d > 1.  No Lucas polynomial is built or cached.
+    For m != s, phi_m = phi_s(Z_{m/s}), monic since Z_t leads with +1 for
+    odd t.  For squarefree m, L_m(x) = x * prod of phi_d(x^2) over d | m,
+    d > 1, and both sides of L_m(x)/x are polynomials in y = x^2: the
+    reversed Lucas weights of L_m give it in y, divided there by the
+    phi_d(y) of the proper divisors d > 1, all squarefree.  No Lucas
+    polynomial is built or cached.
     """
     if m % 2 == 0:
         raise OutOfBoundsError("phi_odd_lucas index must be odd")
     if m == 1:
         return X
+    s = _mobius(m)[-1][0]
+    if s != m:
+        return phi_odd_lucas(s).compose(zpread(m // s))
     in_y = IntPoly(_lucas_weights(m, 1)[::-1])
     return div_exact(in_y, product(phi_odd_lucas(d) for d in divisors(m)[1:-1]))
 
 
 @CACHE.family("phi_pow2", 0)
 def phi_pow2(k: int) -> IntPoly:
-    """phi at index 2^k: bases x, x - 4, x - 2, then each square minus 2.
+    """phi at index 2^k: x, x - 4, then 2 - Z_{2^(k-2)} for k >= 2.
 
     >>> str(phi_pow2(3))
     '2 - 4*x + x^2'
@@ -113,10 +117,7 @@ def phi_pow2(k: int) -> IntPoly:
         return X
     if k == 1:
         return IntPoly((-4, 1))
-    if k == 2:
-        return IntPoly((-2, 1))
-    prev = phi_pow2(k - 1)
-    return prev * prev - 2
+    return _monic(zpread(2 ** (k - 2)) - 2)
 
 
 @CACHE.family("phi_composed", 1)
@@ -124,9 +125,9 @@ def phi_composed(n: int) -> IntPoly:
     """The composition route: split n = 2^k * m with m odd and compose.
 
     k = 0 defers to the odd-index route and m = 1 to the power-of-two
-    recursion; otherwise phi_{2m} reflects phi_m through 4 - x (with the
-    monic sign restored) and phi_{2^k * m} composes phi_m with phi_{2^k}
-    squared.
+    closed form; otherwise phi_n is phi_m(4 - Z_{2^(k-1)}) with the monic
+    sign restored.  At k = 1 the inner is 4 - x, and for k >= 2 it equals
+    phi_{2^k} squared.
     """
     k = (n & -n).bit_length() - 1
     m = n >> k
@@ -134,10 +135,7 @@ def phi_composed(n: int) -> IntPoly:
         return phi_odd_lucas(m)
     if m == 1:
         return phi_pow2(k)
-    odd_part = phi_odd_lucas(m)
-    if k == 1:
-        return _reflect_monic(odd_part, 4)
-    return odd_part.compose(phi_pow2(k) ** 2)
+    return _monic(phi_odd_lucas(m).compose(4 - zpread(2 ** (k - 1))))
 
 
 # The two routes that build every index; phi_composed reaches the
@@ -167,7 +165,7 @@ def cross_check_phi(n: int) -> IntPoly:
     """Compute phi_n on the reference and the composition route and demand exact agreement.
 
     The composition route builds an odd n by the odd-index route and a power
-    of two by its recursion, so the candidate carries the label
+    of two by its closed form, so the candidate carries the label
     ``applicable_routes(n)[1]``.  Returns the reference polynomial; raises
     RouteMismatchError carrying both polynomials if they differ.
     """

@@ -131,10 +131,21 @@ def test_phi_pow2_golden(k, coeffs):
 
 
 def test_phi_pow2_recursion_and_reference():
-    assert phi_pow2(5) == phi_pow2(4) * phi_pow2(4) - 2
-    assert phi_pow2(5) == phi_min(32)
-    # the base case does not satisfy the recursion, it is pinned
+    # The closed form 2 - Z_{2^(k-2)} against the squaring recursion from
+    # phi_4 = x - 2, which x - 4 does not start.
+    assert phi_pow2(2) == IntPoly((-2, 1))
     assert phi_pow2(2) != phi_pow2(1) * phi_pow2(1) - 2
+    for k in range(3, 9):
+        assert phi_pow2(k) == phi_pow2(k - 1) * phi_pow2(k - 1) - 2, k
+    assert phi_pow2(5) == phi_min(32)
+
+
+def test_phi_pow2_squares_to_four_minus_zpread():
+    # The identity the even branch of phi_composed rests on, with the
+    # reference route on the other side.
+    for k in range(2, 13):
+        assert phi_pow2(k) ** 2 == 4 - zpread(2 ** (k - 1)), k
+        assert phi_pow2(k) == phi_min(2**k), k
 
 
 def test_phi_pow2_square_substitution():
@@ -160,10 +171,25 @@ def test_phi_odd_lucas_caches_no_lucas():
     assert CACHE.table("lucas") == {}
 
 
+def test_phi_odd_lucas_divides_only_at_the_radical():
+    # 3^7 composes phi_3 with Z_729, so no index between 3 and 3^7 is built.
+    CACHE.clear()
+    phi_odd_lucas(3**7)
+    assert set(CACHE.table("phi_odd_lucas")) == {3, 2187}
+
+
 def test_phi_composed_golden():
     assert phi_composed(6) == IntPoly((-1, 1))
     assert phi_composed(8) == IntPoly((2, -4, 1))
     assert phi_composed(12) == IntPoly((1, -4, 1))
+
+
+def test_phi_composed_matches_reference_where_both_branches_meet():
+    # 9900 = 4*3^2*5^2*11 and 9990 = 2*3^3*5*37: an even index over an odd
+    # part that is not squarefree, from an empty cache.
+    for n in (9900, 9990):
+        CACHE.clear()
+        assert phi_composed(n) == phi_min(n), n
 
 
 def test_capital_phi_golden():
@@ -191,9 +217,10 @@ def test_cross_check_examples():
 
 
 def test_phi_odd_lucas_matches_reference_above_the_sweep_cap():
-    # Prime powers 3^6 and 3^7, the squarefree 3*5*7*11 and the mixed 3^2*5^3,
-    # each built from an empty cache so every divisor goes through the route.
-    for m in (729, 1125, 1155, 2187, 3465):
+    # Prime powers 3^6, 3^7 and 3^8, the squarefree 3*5*7*11 and the mixed
+    # 3^2*5^3 and 3*5^5, each built from an empty cache so every index the
+    # route reaches goes through it.
+    for m in (729, 1125, 1155, 2187, 3465, 6561, 9375):
         CACHE.clear()
         assert phi_odd_lucas(m) == phi_min(m), m
 
