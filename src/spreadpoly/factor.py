@@ -3,12 +3,12 @@
 For index n the factor attached to divisor d is built from the minimal
 polynomial phi_d of 4*sin^2(pi/d).  The reference route folds the
 cyclotomic polynomial into the Lucas basis and reflects it.  The
-composition route uses Z_t(4*sin^2(a)) = 4*sin^2(t*a): phi_n is
-+-phi_b(Z_{n/b}) whenever n/b repeats only primes of b, and phi_2m is
-+-phi_m(4 - x) for odd m.  So it divides Lucas weights only at odd
-squarefree indices and composes every other index from one of them or
-from phi_4 = x - 2.  The agreement of the two routes is the kernel's
-primary bug detector.
+composition route writes phi_b in the zpread basis, where Z_k(Z_c) = Z_kc
+makes phi_b(Z_c) a weighted sum of closed-form Z_kc.  For q the largest
+odd prime of n and b = n/q, phi_b(Z_q) is phi_n when q | b and
+phi_n * phi_b otherwise, so the route multiplies no polynomials and reads
+cyclotomic(b) only at b < n, where the reference reads cyclotomic(n).  The
+agreement of the two routes is the kernel's primary bug detector.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextvars
 import enum
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, zip_longest
@@ -26,8 +27,9 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
+# Nothing here calls product; the tests patch factor.product to show that.
 from .intpoly import IntPoly, X, div_exact, palindrome_fold, product
-from .sequences import CACHE, _lucas_weights, _mobius, cyclotomic, divisors, lucas, zpread
+from .sequences import CACHE, _factorize, _lucas_weights, cyclotomic, divisors, lucas, zpread
 
 
 @CACHE.family("psi", 1)
@@ -86,24 +88,10 @@ class PhiRoute(enum.Enum):
 
 @CACHE.family("phi_odd_lucas", 1)
 def phi_odd_lucas(m: int) -> IntPoly:
-    """phi_m for odd m, divided out of L_m at the radical s of m and composed up.
-
-    For m != s, phi_m = phi_s(Z_{m/s}), monic since Z_t leads with +1 for
-    odd t.  For squarefree m, L_m(x) = x * prod of phi_d(x^2) over d | m,
-    d > 1, and both sides of L_m(x)/x are polynomials in y = x^2: the
-    reversed Lucas weights of L_m give it in y, divided there by the
-    phi_d(y) of the proper divisors d > 1, all squarefree.  No Lucas
-    polynomial is built or cached.
-    """
+    """phi_m for odd m by the rule of ``_phi_by_rule``; no Lucas polynomial is cached."""
     if m % 2 == 0:
         raise OutOfBoundsError("phi_odd_lucas index must be odd")
-    if m == 1:
-        return X
-    s = _mobius(m)[-1][0]
-    if s != m:
-        return phi_odd_lucas(s).compose(zpread(m // s))
-    in_y = IntPoly(_lucas_weights(m, 1)[::-1])
-    return div_exact(in_y, product(phi_odd_lucas(d) for d in divisors(m)[1:-1]))
+    return X if m == 1 else _phi_by_rule(m)
 
 
 @CACHE.family("phi_pow2", 0)
@@ -122,20 +110,52 @@ def phi_pow2(k: int) -> IntPoly:
 
 @CACHE.family("phi_composed", 1)
 def phi_composed(n: int) -> IntPoly:
-    """The composition route: split n = 2^k * m with m odd and compose.
+    """The composition route: odd n by ``phi_odd_lucas``, 2^k by ``phi_pow2``.
 
-    k = 0 defers to the odd-index route and m = 1 to the power-of-two
-    closed form; otherwise phi_n is phi_m(4 - Z_{2^(k-1)}) with the monic
-    sign restored.  At k = 1 the inner is 4 - x, and for k >= 2 it equals
-    phi_{2^k} squared.
+    Every other n takes the one rule of ``_phi_by_rule``.
     """
     k = (n & -n).bit_length() - 1
-    m = n >> k
     if k == 0:
-        return phi_odd_lucas(m)
-    if m == 1:
+        return phi_odd_lucas(n)
+    if n >> k == 1:
         return phi_pow2(k)
-    return _monic(phi_odd_lucas(m).compose(4 - zpread(2 ** (k - 1))))
+    return _phi_by_rule(n)
+
+
+def _phi_by_rule(n: int) -> IntPoly:
+    """phi_n for n not a power of two, by q the largest odd prime of n and b = n/q.
+
+    At b = 1, L_n(x) = x * phi_n(x^2), so phi_n is the reversed Lucas
+    weights of L_n.  At b = 2, phi_n is phi_q(4 - x) made monic.  Otherwise
+    phi_b(Z_q) is phi_n when q | b and phi_n * phi_b when not, as
+    Phi_b(z^q) is Phi_n or Phi_n * Phi_b.
+    """
+    q = _factorize(n)[-1][0]
+    b = n // q
+    if b == 1:
+        return IntPoly(_lucas_weights(n, 1)[::-1])
+    if b == 2:
+        return _monic(phi_odd_lucas(q).compose(IntPoly((4, -1))))
+    outer = _phi_of_zpread(b, q)
+    return outer if b % q == 0 else div_exact(outer, phi_composed(b))
+
+
+def _phi_of_zpread(b: int, c: int) -> IntPoly:
+    """phi_b(Z_c) for b >= 3 as a sum of zpread polynomials, with no product.
+
+    psi_b(y) = w_0 + sum w_k L_k(y) for w the folded weights of Phi_b, and
+    L_k(2 - x) = 2 - Z_k(x), so phi_b = +-[(w_0 + 2 sum w_k) - sum w_k Z_k],
+    and Z_k(Z_c) = Z_kc.  The x^j coefficient of -w_k Z_kc, j >= 1, is the
+    (kc - j)-th Lucas weight of L_2kc led by +-w_k; no Z_kc is cached.
+    """
+    w = palindrome_fold(cyclotomic(b))
+    coeffs = [w[0] + 2 * sum(w[1:])] + [0] * (c * (len(w) - 1))
+    for k in range(1, len(w)):
+        if w[k]:
+            kc = k * c
+            weights = _lucas_weights(2 * kc, -w[k] if kc % 2 else w[k])
+            coeffs[kc:0:-1] = map(operator.add, coeffs[kc:0:-1], weights)
+    return _monic(IntPoly(coeffs))
 
 
 # The two routes that build every index; phi_composed reaches the
@@ -213,6 +233,9 @@ def _capital_phi(n: int, route: PhiRoute) -> IntPoly:
         return X
     if n == 2:
         return IntPoly((4, -1))
+    if route is PhiRoute.COMPOSITION and _factorize(n) == [(n, 1)]:
+        # Z_p = Phi_1 * Phi_p = x * Phi_p at a prime p.
+        return IntPoly(zpread(n).coeffs[1:])
     phi = _ROUTE_BUILDERS[route](n)
     return phi * phi
 

@@ -29,6 +29,7 @@ from spreadpoly import (
     totient,
     zpread,
 )
+from spreadpoly.errors import NotDivisibleError
 from spreadpoly.intpoly import product
 from spreadpoly.sequences import CACHE
 
@@ -171,11 +172,13 @@ def test_phi_odd_lucas_caches_no_lucas():
     assert CACHE.table("lucas") == {}
 
 
-def test_phi_odd_lucas_divides_only_at_the_radical():
-    # 3^7 composes phi_3 with Z_729, so no index between 3 and 3^7 is built.
+def test_phi_odd_lucas_builds_no_smaller_phi_at_a_prime_power():
+    # 3^7 = 3 * 3^6 with 3 | 3^6, so phi_2187 is phi_729(Z_3), read from
+    # the weights of cyclotomic(729): no other odd index is built.
     CACHE.clear()
     phi_odd_lucas(3**7)
-    assert set(CACHE.table("phi_odd_lucas")) == {3, 2187}
+    assert set(CACHE.table("phi_odd_lucas")) == {2187}
+    assert 729 in CACHE.table("cyclotomic")
 
 
 def test_phi_composed_golden():
@@ -192,6 +195,25 @@ def test_phi_composed_matches_reference_where_both_branches_meet():
         assert phi_composed(n) == phi_min(n), n
 
 
+def test_planted_cyclotomic_fault_is_caught_by_the_composition_route():
+    # Phi_15 with its middle coefficient raised by 1 stays palindromic, so
+    # both routes fold it without complaint.  The reference route reads it
+    # at 15, the composition route at 75 = 5*15 and 105 = 7*15, where the
+    # wrong phi_15(Z_7) is no multiple of the right phi_15.
+    bad = list(cyclotomic(15).coeffs)
+    bad[4] += 1
+    CACHE.clear()
+    try:
+        CACHE.store("cyclotomic", 15, IntPoly(bad))
+        for n in (15, 75):
+            with pytest.raises(RouteMismatchError):
+                cross_check_phi(n)
+        with pytest.raises(NotDivisibleError):
+            cross_check_phi(105)
+    finally:
+        CACHE.clear()
+
+
 def test_capital_phi_golden():
     assert capital_phi(1) == IntPoly((0, 1))
     assert capital_phi(2) == IntPoly((4, -1))
@@ -203,6 +225,20 @@ def test_capital_phi_route_must_be_total():
     assert capital_phi(12, PhiRoute.COMPOSITION) == capital_phi(12)
     with pytest.raises(ValueError):
         capital_phi(12, PhiRoute.ODD_LUCAS)
+
+
+def test_capital_phi_at_a_prime_is_zpread_over_x():
+    # The composition route reads Z_p / x; the reference route squares
+    # phi_min(p).  At 9973 the fast route's own phi_p, the reversed Lucas
+    # weights of L_p, stands in for the reference's 7 s psi_9973.  The
+    # cache is cleared per prime: all of them together hold about 300 MB.
+    for p in range(3, 2000, 2):
+        if divisors(p) == [1, p]:
+            CACHE.clear()
+            assert capital_phi(p, PhiRoute.COMPOSITION) == capital_phi(p), p
+    CACHE.clear()
+    assert capital_phi(9973, PhiRoute.COMPOSITION) == phi_composed(9973) ** 2
+    CACHE.clear()
 
 
 def test_cross_check_examples():
@@ -217,16 +253,17 @@ def test_cross_check_examples():
 
 
 def test_phi_odd_lucas_matches_reference_above_the_sweep_cap():
-    # Prime powers 3^6, 3^7 and 3^8, the squarefree 3*5*7*11 and the mixed
-    # 3^2*5^3 and 3*5^5, each built from an empty cache so every index the
-    # route reaches goes through it.
-    for m in (729, 1125, 1155, 2187, 3465, 6561, 9375):
+    # Prime powers 3^6, 3^7 and 3^8, the squarefree 3*5*7*11 and 3*3331,
+    # and the mixed 3^2*5^3, 3*5^5 and 5^3*7*11 (the slowest index of the
+    # route up to the cap), each built from an empty cache so every index
+    # the route reaches goes through it.
+    for m in (729, 1125, 1155, 2187, 3465, 6561, 9375, 9625, 9993):
         CACHE.clear()
         assert phi_odd_lucas(m) == phi_min(m), m
 
 
 def test_cross_check_sweep_small():
-    for n in range(1, 80):
+    for n in range(1, 601):
         cross_check_phi(n)
 
 

@@ -1,5 +1,7 @@
 """Verification report machinery at small sweeps."""
 
+import random
+
 import pytest
 
 import spreadpoly.factor as factor_mod
@@ -114,6 +116,21 @@ def test_suite_results_are_deterministic():
     first = run_suite("ring-axioms")
     second = run_suite("ring-axioms")
     assert first.to_record() == second.to_record()
+
+
+@pytest.mark.parametrize(
+    "offset, bound", [(0, 10**6), (1, 10**6), (2, 10**6), (3, 10**9), (4, 20), (5, 10**6)]
+)
+def test_random_coeffs_replay_randint(offset, bound):
+    # Each randomized suite's seed with its coefficient bound: the fast draw
+    # must give randint's values and leave the generator in randint's state,
+    # or the suites' instances (and their record bytes) would change.
+    seed = verify_mod._RNG_SEED + offset
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert verify_mod._random_coeffs(fast, 5000, bound) == [
+        slow.randint(-bound, bound) for _ in range(5000)
+    ]
+    assert fast.random() == slow.random()
 
 
 def test_record_shape_excludes_timing():
