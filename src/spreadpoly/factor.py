@@ -27,8 +27,7 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-# Nothing here calls product; the tests patch factor.product to show that.
-from .intpoly import IntPoly, X, div_exact, palindrome_fold, product
+from .intpoly import IntPoly, X, div_exact, palindrome_fold
 from .sequences import CACHE, _factorize, _lucas_weights, cyclotomic, divisors, lucas, zpread
 
 

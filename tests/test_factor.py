@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import spreadpoly.factor as factor_mod
+import spreadpoly.intpoly as intpoly_mod
 from spreadpoly import (
     IntPoly,
     PhiRoute,
@@ -427,12 +428,25 @@ def test_product_check_catches_one_wrong_coefficient_at_the_cap(monkeypatch):
 
 
 def test_factor_multiplies_no_factors(monkeypatch):
-    def refuse(polys):
-        raise AssertionError("factor multiplied its factors")
+    # Every product inside factor_zpread squares one phi_d for Capital Phi_d;
+    # no two factors are ever multiplied together.
+    real = intpoly_mod._mul
+    operands = []
 
+    def record(a, b):
+        operands.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(intpoly_mod, "_mul", record)
+    for route in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
+        CACHE.clear()
+        operands.clear()
+        assert factor_zpread(1260, route).product is zpread(1260)
+        assert operands and all(a is b for a, b in operands), route
     CACHE.clear()
-    monkeypatch.setattr(factor_mod, "product", refuse)
-    assert factor_zpread(1260, PhiRoute.MINIMAL_POLY).product is zpread(1260)
+    operands.clear()
+    factor_lucas_minus2(1260)
+    assert operands == []
 
 
 def test_float_root_check_examples():

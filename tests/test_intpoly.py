@@ -8,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spreadpoly import intpoly as intpoly_mod
 from spreadpoly.intpoly import (
+    _kronecker_binary,
+    _kronecker_bound,
+    _kronecker_decimal,
     _mul_kronecker,
     _mul_schoolbook,
     int_from_digits,
@@ -121,14 +125,29 @@ def kernel_operands(threshold):
     )
 
 
+def binary_radix(a, b):
+    return _kronecker_binary(a, b, _kronecker_bound(a, b))
+
+
+def decimal_radix(a, b):
+    return _kronecker_decimal(a, b, _kronecker_bound(a, b))
+
+
+# Each Kronecker test runs both packings directly, whichever one
+# _mul_kronecker would pick for the operands at hand.
+RADICES = (_mul_kronecker, binary_radix, decimal_radix)
+
+
 @given(a=kernel_operands(32), b=kernel_operands(32))
 @settings(max_examples=120, deadline=None)
 def test_kronecker_matches_schoolbook(a, b):
     expected = _mul_schoolbook(a, b)
-    assert _mul_kronecker(a, b) == expected
     assert IntPoly(a) * IntPoly(b) == IntPoly(expected)
     p = IntPoly(a)
-    assert p * p == IntPoly(_mul_kronecker(a, a)) == mul_schoolbook(p, p)
+    assert p * p == mul_schoolbook(p, p)
+    for kronecker in RADICES:
+        assert kronecker(a, b) == expected
+        assert IntPoly(kronecker(a, a)) == p * p
 
 
 @given(p=small_polys, q=small_polys)
@@ -137,8 +156,9 @@ def test_kronecker_on_tiny_operands(p, q):
     if p.is_zero() or q.is_zero():
         return
     a, b = p.coeffs, q.coeffs
-    assert IntPoly(_mul_kronecker(a, b)) == mul_schoolbook(p, q)
-    assert IntPoly(_mul_kronecker(a, a)) == mul_schoolbook(p, p)
+    for kronecker in RADICES:
+        assert IntPoly(kronecker(a, b)) == mul_schoolbook(p, q)
+        assert IntPoly(kronecker(a, a)) == mul_schoolbook(p, p)
 
 
 def test_kronecker_unbalanced_shapes():
@@ -154,8 +174,9 @@ def test_kronecker_at_the_slot_bound():
     # large as the slot width allows: min(len) * max|a| * max|b|.
     for m in (1, 9, 10**40 - 1, 10**40):
         for a, b in (((m,) * 33, (m,) * 40), ((m,) * 33, (-m,) * 35), ((-m, m) * 20, (m, -m) * 17)):
-            assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
-            assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+            for kronecker in RADICES:
+                assert kronecker(a, b) == _mul_schoolbook(a, b)
+                assert kronecker(a, a) == _mul_schoolbook(a, a)
 
 
 def test_kronecker_beyond_the_digit_limit():
@@ -168,6 +189,27 @@ def test_kronecker_beyond_the_digit_limit():
     b = IntPoly([rng.randint(-5, 5) * big for _ in range(33)] + [big + 7])
     assert a * b == mul_schoolbook(a, b)
     assert a * a == mul_schoolbook(a, a)
+    for kronecker in RADICES:
+        assert IntPoly(kronecker(a.coeffs, b.coeffs)) == a * b
+        assert IntPoly(kronecker(a.coeffs, a.coeffs)) == a * a
+
+
+def test_kronecker_radix_switches_at_the_packed_size(monkeypatch):
+    # Coefficients of 2^248 in operands of lengths 256 and 257 give a slot
+    # bound of 2^505, so slots of 64 bytes; at 512 product coefficients the
+    # packed product is exactly 32 KiB, and one more slot tips it over.
+    cutoff = intpoly_mod._KRONECKER_BINARY_BYTES
+    m = 1 << 248
+    a = (m,) * 256
+    assert _kronecker_bound(a, a + (m,)).bit_length() // 8 + 1 == 64 == cutoff // 512
+
+    def refuse(a, b, bound):
+        raise AssertionError("wrong Kronecker radix")
+
+    for b, refused in (((m,) * 257, "_kronecker_decimal"), ((m,) * 258, "_kronecker_binary")):
+        monkeypatch.setattr(intpoly_mod, refused, refuse)
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+        monkeypatch.undo()
 
 
 # Operands of the zero-skipping small path: explicit zeros among mixed
@@ -266,6 +308,17 @@ def test_div_exact_rejects_fractional_quotient():
     # 2x / 4 = x/2 needs a non-integer coefficient
     with pytest.raises(NotDivisibleError):
         div_exact(IntPoly((0, 2)), IntPoly((4,)))
+
+
+def test_div_exact_failure_names_degrees_not_operands():
+    # The message names degrees only: the operands' text here would run to
+    # hundreds of kilobytes, and to megabytes at the index cap.
+    p = IntPoly([10**40 + k for k in range(2000)] + [10**40 + 1])
+    for num, den in ((p, IntPoly((1, 2))), (p * IntPoly((1, 1)) + 1, IntPoly((1, 1)))):
+        with pytest.raises(NotDivisibleError) as excinfo:
+            div_exact(num, den)
+        assert len(str(excinfo.value)) < 200
+        assert f"degree {num.degree()}" in str(excinfo.value)
 
 
 def test_div_exact_non_monic_divisor():
