@@ -20,6 +20,7 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, zip_longest
+from typing import Callable
 
 from .errors import (
     OutOfBoundsError,
@@ -28,7 +29,16 @@ from .errors import (
     VerificationFailureError,
 )
 from .intpoly import IntPoly, X, div_exact, palindrome_fold
-from .sequences import CACHE, _factorize, _lucas_weights, cyclotomic, divisors, lucas, zpread
+from .sequences import (
+    CACHE,
+    _factorize,
+    _lucas_weights,
+    cyclotomic,
+    divisors,
+    lucas,
+    lucas_value,
+    zpread,
+)
 
 
 @CACHE.family("psi", 1)
@@ -257,18 +267,24 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorizationRecord:
-    """A complete factorization with its verified product.
+    """A complete factorization of the degree-n target, checked by its values.
 
     ``factors`` is ascending in divisor and their degrees, with
-    multiplicity, sum to the degree of ``product``, the target polynomial.
-    The product of poly^multiplicity over all entries has the same exact
-    value as ``product`` at x = 5 and at x = -3.
+    multiplicity, sum to n.  The product of poly^multiplicity over all
+    entries has the same exact value as the target at x = 5 and at x = -3.
     """
 
     target_kind: str
     n: int
     factors: tuple[Factor, ...]
-    product: IntPoly
+
+    @property
+    def product(self) -> IntPoly:
+        """The target polynomial: the cached ``zpread(n)`` itself, or ``lucas(n) - 2``.
+
+        Built on demand; the check that made the record never builds it.
+        """
+        return zpread(self.n) if self.target_kind == "zpread" else lucas(self.n) - 2
 
     def to_record(self) -> dict:
         return {
@@ -292,42 +308,43 @@ def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> Factorizat
 
     One factor per divisor d, each of degree totient(d).  Before returning,
     the degree sum and the exact values at x = 5 and x = -3 of the factors'
-    product are compared with the closed-form polynomial's; the factors are
-    not multiplied back together.
+    product are compared with Z_n(a) = 2 - L_n(2 - a); neither the factors'
+    product nor Z_n is built.
     """
     factors = [Factor(d, 1, capital_phi(d, route)) for d in divisors(n)]
-    return _checked_record("zpread", n, factors, zpread(n), "zpread")
+    return _checked_record("zpread", n, factors, lambda a: 2 - lucas_value(n, 2 - a), "zpread")
 
 
 def factor_lucas_minus2(n: int) -> FactorizationRecord:
     """Factor L_n - 2: simple factors at divisors 1 and 2, squares elsewhere."""
     factors = [Factor(d, 1 if d <= 2 else 2, psi(d)) for d in divisors(n)]
-    return _checked_record("lucas_minus_2", n, factors, lucas(n) - 2, "Lucas")
+    return _checked_record("lucas_minus_2", n, factors, lambda a: lucas_value(n, a) - 2, "Lucas")
 
 
 def _checked_record(
-    target_kind: str, n: int, factors: list[Factor], expected: IntPoly, label: str
+    target_kind: str, n: int, factors: list[Factor], target_at: Callable[[int], int], label: str
 ) -> FactorizationRecord:
-    """The record of ``factors``, once their product is seen to equal ``expected``.
+    """The record of ``factors``, once their product is seen to equal the degree-n target.
 
-    Seen means an equal degree and equal exact values at x = 5 and x = -3,
-    so no polynomial is multiplied.  No factor vanishes at either point:
-    the roots of capital_phi lie in [0, 4] and those of psi in [-2, 2].  At
-    3 or -1, Phi_3 = (x - 3)^2 or psi_3 = x + 1 would, and both sides would
-    be 0.  verify multiplies the factors back exactly.  The record holds
-    ``expected`` itself as its product, so a cached target is not kept twice.
+    Seen means degree n and exact values at x = 5 and x = -3 equal to
+    ``target_at(5)`` and ``target_at(-3)``, integers from ``lucas_value``,
+    so no polynomial is multiplied and the target is not built.  No factor
+    vanishes at either point: the roots of capital_phi lie in [0, 4] and
+    those of psi in [-2, 2].  At 3 or -1, Phi_3 = (x - 3)^2 or
+    psi_3 = x + 1 would, and both sides would be 0.  verify multiplies the
+    factors back exactly.
     """
     degree = sum(f.poly.degree() * f.multiplicity for f in factors)
-    if degree != expected.degree():
+    if degree != n:
         raise VerificationFailureError(
-            f"{label} factor product mismatch at n={n}: degree {degree} != {expected.degree()}"
+            f"{label} factor product mismatch at n={n}: degree {degree} != {n}"
         )
     for a in (5, -3):
-        if math.prod(f.poly(a) ** f.multiplicity for f in factors) != expected(a):
+        if math.prod(f.poly(a) ** f.multiplicity for f in factors) != target_at(a):
             raise VerificationFailureError(
                 f"{label} factor product mismatch at n={n}: the values at x = {a} differ"
             )
-    return FactorizationRecord(target_kind, n, tuple(factors), expected)
+    return FactorizationRecord(target_kind, n, tuple(factors))
 
 
 @dataclass(frozen=True)

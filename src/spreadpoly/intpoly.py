@@ -29,7 +29,7 @@ import heapq
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable
 
 from .errors import (
@@ -86,8 +86,10 @@ class IntPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = tuple(coeffs)
-        if not all(map(isinstance, cs, repeat(int))):
-            bad = next(c for c in cs if not isinstance(c, int))
+        # Exactly int: a bool or other int subclass would not render as a
+        # decimal coefficient that from_coefficient_strings reads back.
+        if not {int}.issuperset(map(type, cs)):
+            bad = next(c for c in cs if type(c) is not int)
             raise TypeError(f"IntPoly coefficients must be int, not {type(bad).__name__}")
         end = len(cs)
         while end and cs[end - 1] == 0:
@@ -129,7 +131,7 @@ class IntPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPoly((other,))
         elif not isinstance(other, IntPoly):
             return NotImplemented
@@ -138,7 +140,7 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
-        if not isinstance(other, (int, IntPoly)):
+        if type(other) is not int and not isinstance(other, IntPoly):
             return NotImplemented
         return self + -other
 
@@ -149,7 +151,7 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self._coeffs))
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
+        if type(other) is int:
             return IntPoly(tuple(c * other for c in self._coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented

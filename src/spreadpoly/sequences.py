@@ -222,6 +222,27 @@ def fibonacci(n: int) -> int:
     return a
 
 
+def lucas_value(n: int, y: int) -> int:
+    """L_n(y), the degree-n Lucas polynomial at an integer y, by doubling.
+
+    Takes O(log n) multiplications and builds no polynomial, so it is not
+    cached.
+
+    >>> [lucas_value(n, 3) for n in range(6)]
+    [2, 3, 7, 18, 47, 123]
+    """
+    # (a, b) = (L_k, L_{k+1}) for k the leading bits of n read so far, from
+    # L_k(y) = u^k + u^-k with u + 1/u = y: L_2k = L_k^2 - 2 and
+    # L_{2k+1} = L_k*L_{k+1} - y.
+    a, b = 2, y
+    for bit in f"{n:b}":
+        if bit == "1":
+            a, b = a * b - y, b * b - 2
+        else:
+            a, b = a * a - 2, a * b - y
+    return a
+
+
 def totient(n: int) -> int:
     """Euler's totient, from the prime factorization."""
     if n < 1:

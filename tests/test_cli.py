@@ -359,11 +359,31 @@ RECORD_DIGESTS = {
 }
 
 
+# Only the text format prints a factorization's target, built on demand
+# from FactorizationRecord.product.
+TEXT_DIGESTS = {
+    ("factor", "60", "--format", "text"):
+        "20c3d105b32edb03a77f8734e8a8b02e6452a5974a3fbfd974e67185f885b976",
+    ("factor", "60", "--format", "text", "--route", "fast"):
+        "20c3d105b32edb03a77f8734e8a8b02e6452a5974a3fbfd974e67185f885b976",
+    ("factor", "36", "lucas", "--format", "text"):
+        "c7f909429483693758ec3e2d0b03083dce2148f57baf6cfc36ec38d0e88e7729",
+}
+
+
 def test_record_bytes_are_pinned(capsys):
     for argv, digest in RECORD_DIGESTS.items():
         sequences.CACHE.clear()
         code, out, _ = run_cli(capsys, *argv)
         assert code == (1 if "--corrupt-phi" in argv else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_factor_text_bytes_are_pinned(capsys):
+    for argv, digest in TEXT_DIGESTS.items():
+        sequences.CACHE.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 

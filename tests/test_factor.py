@@ -355,9 +355,27 @@ def test_factorization_record_rendering():
 
 
 def test_factor_zpread_detects_product_mismatch(monkeypatch):
-    monkeypatch.setattr(factor_mod, "zpread", lambda n: IntPoly((1, 1)))
-    with pytest.raises(VerificationFailureError):
-        factor_mod.factor_zpread(3)
+    # Both targets' values at 5 and -3 come from lucas_value; one unit off
+    # must fail the check.
+    real = factor_mod.lucas_value
+    monkeypatch.setattr(factor_mod, "lucas_value", lambda n, y: real(n, y) + 1)
+    for build in (factor_zpread, factor_lucas_minus2):
+        with pytest.raises(VerificationFailureError, match=f"{MISMATCH}3:"):
+            build(3)
+
+
+def test_factor_builds_no_target():
+    # The check reads integer values of L_n; the target polynomial is built
+    # only when record.product is asked for.
+    for route in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
+        CACHE.clear()
+        record = factor_zpread(1260, route)
+        assert 1260 not in CACHE.table("zpread"), route
+    CACHE.clear()
+    factor_lucas_minus2(1260)
+    assert 1260 not in CACHE.table("lucas")
+    assert record.product is zpread(1260)
+    CACHE.clear()
 
 
 def test_product_check_points_are_no_roots():

@@ -53,6 +53,19 @@ def test_non_int_coefficients_are_refused():
             IntPoly((1, bad))
 
 
+def test_bool_coefficients_are_refused():
+    # IntPoly((True, 2)) would render as ['True', '2'], a record that
+    # from_coefficient_strings cannot read back.
+    for coeffs in ((True, 2), (1, False), (False,)):
+        with pytest.raises(TypeError, match="bool"):
+            IntPoly(coeffs)
+    # The ring operations refuse a bool operand as they refuse a float.
+    for left, right in ((X, True), (True, X), (ZERO, False)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
 def test_degree_sentinel():
     assert ZERO.degree() == -1
     assert IntPoly((7,)).degree() == 0

@@ -219,6 +219,25 @@ def test_fibonacci_sequence():
         fibonacci(-1)
 
 
+def test_lucas_value_matches_horner_on_the_closed_form():
+    # The oracle is the uncached closed form evaluated by Horner.
+    build = lucas.__wrapped__
+    for n in range(401):
+        ln = build(n)
+        for y in (-3, -2, -1, 0, 1, 2, 5, 10**40, -(10**40)):
+            assert seq_mod.lucas_value(n, y) == ln(y), (n, y)
+    for n in (9240, 9973, 9999, 10000):
+        ln = build(n)
+        assert seq_mod.lucas_value(n, 5) == ln(5), n
+        assert seq_mod.lucas_value(n, -3) == ln(-3), n
+
+
+def test_lucas_value_gives_the_zpread_value_at_five():
+    # Z_n(5) = 2 - L_n(-3) = (-1)^(n-1) * 5 * F_n^2.
+    for n in range(1, 2001):
+        assert 2 - seq_mod.lucas_value(n, -3) == (-1) ** (n - 1) * 5 * fibonacci(n) ** 2, n
+
+
 def test_totient_examples():
     assert totient(1) == 1
     assert totient(12) == 4
