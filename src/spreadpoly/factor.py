@@ -95,56 +95,49 @@ class PhiRoute(enum.Enum):
     COMPOSITION = "composition"
 
 
-@CACHE.family("phi_odd_lucas", 1)
 def phi_odd_lucas(m: int) -> IntPoly:
-    """phi_m for odd m by the rule of ``_phi_by_rule``; no Lucas polynomial is cached."""
+    """phi_m for odd m >= 1, read from the table of ``phi_composed``."""
+    if m < 1:
+        raise OutOfBoundsError("phi_odd_lucas index must be at least 1")
     if m % 2 == 0:
         raise OutOfBoundsError("phi_odd_lucas index must be odd")
-    return X if m == 1 else _phi_by_rule(m)
+    return phi_composed(m)
 
 
-@CACHE.family("phi_pow2", 0)
 def phi_pow2(k: int) -> IntPoly:
-    """phi at index 2^k: x, x - 4, then 2 - Z_{2^(k-2)} for k >= 2.
+    """phi at index 2^k for k >= 0, read from the table of ``phi_composed``.
 
     >>> str(phi_pow2(3))
     '2 - 4*x + x^2'
     """
-    if k == 0:
-        return X
-    if k == 1:
-        return IntPoly((-4, 1))
-    return _monic(zpread(2 ** (k - 2)) - 2)
+    if k < 0:
+        raise OutOfBoundsError("phi_pow2 index must be at least 0")
+    return phi_composed(1 << k)
 
 
 @CACHE.family("phi_composed", 1)
 def phi_composed(n: int) -> IntPoly:
-    """The composition route: odd n by ``phi_odd_lucas``, 2^k by ``phi_pow2``.
+    """phi_n by the composition route, which keeps its one memo table.
 
-    Every other n takes the one rule of ``_phi_by_rule``.
+    The powers of two 1, 2 and 2^k, k >= 2, take x, x - 4 and 2 - Z_{2^(k-2)}.
+    Any other n takes q its largest odd prime and b = n/q.  At b = 1,
+    L_n(x) = x * phi_n(x^2), so phi_n is the reversed Lucas weights of L_n.
+    At b = 2, phi_n is phi_q(4 - x) made monic.  Otherwise phi_b(Z_q) is
+    phi_n when q | b and phi_n * phi_b when not, as Phi_b(z^q) is Phi_n or
+    Phi_n * Phi_b.
     """
-    k = (n & -n).bit_length() - 1
-    if k == 0:
-        return phi_odd_lucas(n)
-    if n >> k == 1:
-        return phi_pow2(k)
-    return _phi_by_rule(n)
-
-
-def _phi_by_rule(n: int) -> IntPoly:
-    """phi_n for n not a power of two, by q the largest odd prime of n and b = n/q.
-
-    At b = 1, L_n(x) = x * phi_n(x^2), so phi_n is the reversed Lucas
-    weights of L_n.  At b = 2, phi_n is phi_q(4 - x) made monic.  Otherwise
-    phi_b(Z_q) is phi_n when q | b and phi_n * phi_b when not, as
-    Phi_b(z^q) is Phi_n or Phi_n * Phi_b.
-    """
+    if n == 1:
+        return X
+    if n == 2:
+        return IntPoly((-4, 1))
+    if n & (n - 1) == 0:
+        return _monic(zpread(n >> 2) - 2)
     q = _factorize(n)[-1][0]
     b = n // q
     if b == 1:
         return IntPoly(_lucas_weights(n, 1)[::-1])
     if b == 2:
-        return _monic(phi_odd_lucas(q).compose(IntPoly((4, -1))))
+        return _monic(phi_composed(q).compose(IntPoly((4, -1))))
     outer = _phi_of_zpread(b, q)
     return outer if b % q == 0 else div_exact(outer, phi_composed(b))
 
@@ -167,7 +160,7 @@ def _phi_of_zpread(b: int, c: int) -> IntPoly:
     return _monic(IntPoly(coeffs))
 
 
-# The two routes that build every index; phi_composed reaches the
+# The two routes that build every index; phi_composed covers the
 # odd-index and power-of-two routes itself.
 _ROUTE_BUILDERS = {PhiRoute.MINIMAL_POLY: phi_min, PhiRoute.COMPOSITION: phi_composed}
 

@@ -5,8 +5,7 @@ p_1 = p_2 = 1 and p_d = |phi_d(5)| for d >= 3, phi_d the minimal polynomial
 of 4*sin^2(pi/d).  No polynomial is built here: Moebius inversion gives
 p_n = prod_{e|n} F_{n/e}^mu(e), the product ``sequences.cyclotomic`` runs
 over x^e - 1, taken over Fibonacci numbers and closed by one exact division.
-``part_from_minimal_polynomial`` keeps the definition |phi_d(5)| as the
-reference that ``verify`` checks these parts against.
+``verify`` checks each part against its definition |phi_d(5)|.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import (
     OutOfBoundsError,
     VerificationFailureError,
 )
-from .factor import phi_min
+from .factor import phi_min  # noqa: F401 -- unused; perfbench's selftest wraps fib.phi_min
 from .intpoly import int_to_digits
 from .sequences import _mobius, divisors, fibonacci, zpread
 
@@ -44,14 +43,6 @@ def primitive_part(n: int) -> int:
     if rest:
         raise InternalInconsistencyError(f"Moebius quotient of Fibonacci numbers for {n} is inexact")
     return part
-
-
-def part_from_minimal_polynomial(n: int) -> int:
-    """p_n by its definition, |phi_n(5)| with phi_n built whole (p_1 = 1).
-
-    Far slower than ``primitive_part``; ``fib_factorization`` never calls it.
-    """
-    return 1 if n == 1 else abs(phi_min(n)(5))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
+        if type(n) is not int:
+            return NotImplemented
         if n < 0:
             raise OutOfBoundsError("negative powers are not defined for polynomials")
         result = ONE
@@ -550,11 +552,14 @@ def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
     fractional quotient coefficient or a nonzero remainder, naming the
     quotient degree or the remainder and the two degrees but not the
     operands, whose text can run to megabytes; ZeroDivisionError if q is
-    zero.
+    zero, and TypeError if p or q is not an IntPoly.
 
     >>> str(div_exact(IntPoly((-4, 0, 1)), IntPoly((-2, 1))))
     '2 + x'
     """
+    for operand in (p, q):
+        if not isinstance(operand, IntPoly):
+            raise TypeError(f"div_exact operands must be IntPoly, not {type(operand).__name__}")
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():

@@ -267,12 +267,17 @@ def _suite_phi_float_roots(n_max: int) -> Check:
 # -- Fibonacci application ---------------------------------------------------
 
 
+def part_from_minimal_polynomial(n: int) -> int:
+    """p_n by its definition, |phi_n(5)| (p_1 = 1): the slow oracle of ``fib.primitive_part``."""
+    return 1 if n == 1 else abs(factor.phi_min(n)(5))
+
+
 def _suite_fibonacci_primitive_parts(n_max: int) -> Check:
     for n in range(1, min(200, n_max) + 1):
         # fib_factorization raises VerificationFailureError unless the parts
         # multiply back to F_n; each part is checked against its definition.
         table = fib.fib_factorization(n)
-        yield f"n={n}", all(p == fib.part_from_minimal_polynomial(d) for d, p in table.parts)
+        yield f"n={n}", all(p == part_from_minimal_polynomial(d) for d, p in table.parts)
 
 
 def _suite_zpread_at_five(n_max: int) -> Check:

@@ -252,7 +252,7 @@ BELOW_MINIMUM = [
     (factor_mod.factor_zpread, 0, ("factor", "0"), "index must be positive"),
     (factor_mod.factor_lucas_minus2, 0, None, None),
     (fib_mod.primitive_part, 0, None, None),
-    (fib_mod.part_from_minimal_polynomial, 0, None, None),
+    (verify.part_from_minimal_polynomial, 0, None, None),
     (fib_mod.fib_factorization, 0, ("fib", "0"), "index must be positive"),
     (fib_mod.zpread_at5_identity, 0, None, None),
     (verify.run_verification, 0, ("verify", "--sweep", "0"), "sweep bound must be at least 1"),
@@ -277,6 +277,12 @@ def test_below_minimum_is_out_of_bounds(capsys, call, n, argv, line):
 DOMAIN_REFUSALS = {
     "float_root_check": (lambda: factor_mod.float_root_check(2, 1e-9), "root check needs n >= 3"),
     "phi_odd_lucas": (lambda: factor_mod.phi_odd_lucas(4), "phi_odd_lucas index must be odd"),
+    # Uncached entry points into phi_composed's table, each with its own minimum.
+    "phi_odd_lucas_below_minimum": (
+        lambda: factor_mod.phi_odd_lucas(0),
+        "phi_odd_lucas index must be at least 1",
+    ),
+    "phi_pow2_below_minimum": (lambda: factor_mod.phi_pow2(-1), "phi_pow2 index must be at least 0"),
     "capital_phi": (
         lambda: factor_mod.capital_phi(3, factor_mod.PhiRoute.ODD_LUCAS),
         "route odd_lucas cannot build every index",
@@ -356,6 +362,12 @@ RECORD_DIGESTS = {
         "a4034e82769608598f4fec0ff16506ff946085fcc0d4910a5700fc7c470206e4",
     ("verify", "--sweep", "30", "--corrupt-phi", "9", "--format", "record"):
         "d9d30012312d645a1495db8d36921a095df943a9ba5d4a894c709397fb097b60",
+    # 9998 = 2*4999: the b = 2 branch of the composition route, phi_4999(4 - x).
+    ("show", "phi", "9998", "--route", "fast", "--format", "record"):
+        "92cc242008733ba9afbe1af38c73f03f6f4d6e205a30a1fb121c29ed1716d0bd",
+    # 8192 = 2^13: the power-of-two branch, 2 - Z_2048.
+    ("show", "phi", "8192", "--route", "fast", "--format", "record"):
+        "b98503e261bb1e6e4a957a512fe4213933b98c687c85a3b7c75f6da260a155e1",
 }
 
 

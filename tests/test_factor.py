@@ -13,6 +13,7 @@ from spreadpoly import (
     RouteMismatchError,
     ToleranceExceededError,
     VerificationFailureError,
+    X,
     capital_phi,
     cross_check_phi,
     cyclotomic,
@@ -27,6 +28,7 @@ from spreadpoly import (
     phi_odd_lucas,
     phi_pow2,
     psi,
+    run_verification,
     totient,
     zpread,
 )
@@ -178,8 +180,27 @@ def test_phi_odd_lucas_builds_no_smaller_phi_at_a_prime_power():
     # the weights of cyclotomic(729): no other odd index is built.
     CACHE.clear()
     phi_odd_lucas(3**7)
-    assert set(CACHE.table("phi_odd_lucas")) == {2187}
+    assert set(CACHE.table("phi_composed")) == {2187}
     assert 729 in CACHE.table("cyclotomic")
+
+
+def test_composition_route_keeps_one_table():
+    # phi_odd_lucas and phi_pow2 read phi_composed's table and keep none,
+    # so no polynomial is held twice and the cache counts each once.
+    CACHE.clear()
+    run_verification(60)
+    tables = CACHE._tables
+    assert "phi_odd_lucas" not in tables and "phi_pow2" not in tables
+    held: dict[int, list[str]] = {}
+    for family, table in tables.items():
+        for value in table.values():
+            if isinstance(value, IntPoly) and value is not X:
+                held.setdefault(id(value), []).append(family)
+    assert all(len(families) == 1 for families in held.values()), held
+    for m in range(1, 100, 2):
+        assert phi_odd_lucas(m) is phi_composed(m), m
+    for k in range(13):
+        assert phi_pow2(k) is phi_composed(2**k), k
 
 
 def test_phi_composed_golden():

@@ -59,9 +59,10 @@ def test_bool_coefficients_are_refused():
     for coeffs in ((True, 2), (1, False), (False,)):
         with pytest.raises(TypeError, match="bool"):
             IntPoly(coeffs)
-    # The ring operations refuse a bool operand as they refuse a float.
+    # The ring operations refuse a bool operand as they refuse a float, and
+    # ** a bool exponent, which would pass for 1 or 0.
     for left, right in ((X, True), (True, X), (ZERO, False)):
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a**b):
             with pytest.raises(TypeError):
                 op(left, right)
 
@@ -343,6 +344,12 @@ def test_div_exact_non_monic_divisor():
 def test_div_by_zero():
     with pytest.raises(ZeroDivisionError):
         div_exact(X, ZERO)
+
+
+def test_div_exact_refuses_an_operand_that_is_not_a_polynomial():
+    for num, den, name in ((X, 3, "int"), (6, X, "int"), (X, True, "bool"), (None, X, "NoneType")):
+        with pytest.raises(TypeError, match=name):
+            div_exact(num, den)
 
 
 def test_div_zero_numerator():

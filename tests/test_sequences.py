@@ -284,8 +284,6 @@ DECLARED_FAMILIES = [
     ("fibonacci", 0, 300),
     ("psi", 1, 45),
     ("phi_min", 1, 45),
-    ("phi_odd_lucas", 1, 45),
-    ("phi_pow2", 0, 6),
     ("phi_composed", 1, 44),
 ]
 

@@ -76,8 +76,8 @@ def test_zpread_two_routes_catches_a_moved_coefficient(monkeypatch):
 
 def test_primitive_parts_are_checked_against_the_minimal_polynomial(monkeypatch):
     # The parts still multiply to F_12; only the reference |phi_12(5)| moves.
-    real = fib_mod.phi_min
-    monkeypatch.setattr(fib_mod, "phi_min", lambda d: real(d) + 1 if d == 12 else real(d))
+    real = factor_mod.phi_min
+    monkeypatch.setattr(factor_mod, "phi_min", lambda d: real(d) + 1 if d == 12 else real(d))
     result = run_suite("fibonacci-primitive-parts", sweep=20)
     assert (result.failures, result.first_failure) == (1, "n=12")
 
