@@ -2,7 +2,9 @@
 
 For index n the factor attached to divisor d is built from the minimal
 polynomial phi_d of 4*sin^2(pi/d).  The reference route folds the
-cyclotomic polynomial into the Lucas basis and reflects it.  The
+cyclotomic polynomial into the Lucas basis and reflects it through 2 - x;
+while phi_d packs into the binary Kronecker size, it does both in one
+Clenshaw pass on a packed integer.  The
 composition route writes phi_b in the zpread basis, where Z_k(Z_c) = Z_kc
 makes phi_b(Z_c) a weighted sum of closed-form Z_kc.  For q the largest
 odd prime of n and b = n/q, phi_b(Z_q) is phi_n when q | b and
@@ -20,7 +22,7 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     OutOfBoundsError,
@@ -28,7 +30,7 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-from .intpoly import IntPoly, X, div_exact, palindrome_fold
+from .intpoly import _KRONECKER_BINARY_BYTES, IntPoly, X, _binary_unpack, div_exact, palindrome_fold
 from .sequences import (
     CACHE,
     _factorize,
@@ -71,13 +73,32 @@ def psi(n: int) -> IntPoly:
 def phi_min(n: int) -> IntPoly:
     """Minimal polynomial of 4*sin^2(pi/n); the reference route.
 
-    The reflection of psi_n through 2 - x with the monic sign restored, for
-    every n: psi_1 = x - 2 gives phi_1 = x and psi_2 = x + 2 gives
-    phi_2 = x - 4.
+    psi_n(2 - x) with the monic sign restored.  For n >= 3 and c the m + 1
+    folded weights of Phi_n, phi_n = +-(c_0 + sum c_k * (2 - Z_k)), as
+    L_k(2 - x) = 2 - Z_k(x).  The signs of Z_k alternate, so its absolute
+    coefficients sum to L_k(3) - 2 and no coefficient of phi_n exceeds
+    B = sum |c_k| * L_m(3).  In slots of nb bytes, 256^nb > 2B, the
+    Clenshaw sum of psi_n at the integer y = 2 - 256^nb is +-phi_n(256^nb),
+    one slot per coefficient, and no psi_n is built.  Where the slots
+    outgrow the binary Kronecker size, and at psi_1 = x - 2 and
+    psi_2 = x + 2, psi_n is reflected through 2 - x instead.
 
     >>> str(phi_min(7))
     '-7 + 14*x - 7*x^2 + x^3'
     """
+    if n >= 3:
+        c = palindrome_fold(cyclotomic(n))
+        m = len(c) - 1
+        nb = (sum(map(abs, c)) * lucas_value(m, 3)).bit_length() // 8 + 1
+        if nb * (m + 1) <= _KRONECKER_BINARY_BYTES:
+            # psi's Clenshaw recurrence at y = 2 - 2^s, where y*b is
+            # 2*b - (b << s); the sum is psi_n(2 - 2^s), so +-phi_n(2^s).
+            s = 8 * nb
+            b1 = b2 = 0
+            for k in range(m, 0, -1):
+                b1, b2 = (b1 << 1) - b2 - (b1 << s) + c[k], b1
+            value = (b1 << 1) - (b2 << 1) - (b1 << s) + c[0]
+            return _monic(IntPoly(_binary_unpack(value, nb, m + 1)))
     return _monic(psi(n).compose(IntPoly((2, -1))))
 
 
@@ -288,12 +309,21 @@ class FactorizationRecord:
         }
 
     def to_text(self) -> str:
+        return "".join(self.text_pieces())
+
+    def text_pieces(self) -> Iterator[str]:
+        """``to_text`` in pieces: line by line, and the product: line term by term.
+
+        The product: line spells out the whole target, 26 MB at n = 9240,
+        so a writer never needs it as one string.
+        """
         label = "Z" if self.target_kind == "zpread" else "L-2"
-        lines = [f"{label}[{self.n}] = product of {len(self.factors)} factors"]
+        yield f"{label}[{self.n}] = product of {len(self.factors)} factors"
         for f in self.factors:
-            lines.append(f"  d={f.d}  multiplicity={f.multiplicity}  {f.poly}")
-        lines.append(f"product: {self.product}")
-        return "\n".join(lines)
+            yield f"\n  d={f.d}  multiplicity={f.multiplicity}  {f.poly}"
+        yield "\nproduct:"
+        for term in self.product.text_terms():
+            yield " " + term
 
 
 def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> FactorizationRecord:

@@ -30,7 +30,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     InternalInconsistencyError,
@@ -45,10 +45,10 @@ from .errors import (
 # near 24 coefficients of 20-64 bits and near 56 of 400 bits; 32 lies between.
 _MUL_THRESHOLD = 32
 
-# Kronecker products that pack into at most this many bytes multiply as
-# CPython ints, larger ones in decimal.  Whole kernel on squares of random
-# polynomials, binary against decimal (ms; 2-vCPU Linux VM, Python 3.11.7,
-# one CPU, CPU time):
+# Two packed kernels run on CPython ints up to this many packed bytes.
+# Kronecker products that pack into more multiply in decimal.  Whole
+# kernel on squares of random polynomials, binary against decimal (ms;
+# 2-vCPU Linux VM, Python 3.11.7, one CPU, CPU time):
 #     61 x 81 bits      2.6 KiB    0.17 against 0.40
 #    193 x 81 bits      8.3 KiB    0.43 against 0.83
 #    200 x 200 bits    20.3 KiB    1.33 against 1.56
@@ -56,7 +56,14 @@ _MUL_THRESHOLD = 32
 #    200 x 1000 bits   98.2 KiB    15.3 against 8.9
 # From 24 to 48 KiB the two trade places as libmpdec steps between
 # transform sizes (0.7x to 1.5x); the squares of factor n up to 1260 reach
-# 25.8 KiB.
+# 25.8 KiB.  factor.phi_min runs psi's Clenshaw sum on one int holding
+# phi_n in slots when they fit, and reflects the list-built psi_n when
+# not.  Packed against reflected, from a cached cyclotomic(n), same setup:
+#    n = 1260   m = 144     3.7 KiB    0.30 against 1.15
+#    n = 2520   m = 288    14.4 KiB    1.84 against 4.34
+#    n = 1293   m = 430    32.0 KiB    5.77 against 10.19
+#    n = 3003   m = 720    89.4 KiB    26.2 against 29.9
+#    n = 2021   m = 966   159.6 KiB    81.3 against 56.4
 _KRONECKER_BINARY_BYTES = 32 * 1024
 
 
@@ -238,9 +245,17 @@ class IntPoly:
 
     def to_text(self) -> str:
         """Canonical text form, ascending degree: '9*x - 6*x^2 + x^3'."""
+        return " ".join(self.text_terms())
+
+    def text_terms(self) -> Iterator[str]:
+        """The space-separated pieces of ``to_text``, one per nonzero term.
+
+        >>> list(IntPoly((0, 9, -6, 1)).text_terms())
+        ['9*x', '- 6*x^2', '+ x^3']
+        """
         if not self._coeffs:
-            return "0"
-        parts = []
+            yield "0"
+        plus, minus = "", "-"
         for k, c in enumerate(self._coeffs):
             if c == 0:
                 continue
@@ -250,11 +265,8 @@ class IntPoly:
             else:
                 var = "x" if k == 1 else f"x^{k}"
                 term = var if mag == 1 else f"{int_to_digits(mag)}*{var}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+            yield (plus if c > 0 else minus) + term
+            plus, minus = "+ ", "- "
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients as decimal strings, so any size survives serialization."""
@@ -375,11 +387,17 @@ def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> lis
     # Slots of nb bytes, 256^nb > bound; the packing and the borrows are
     # those of the decimal path, in little-endian bytes.
     nb = bound.bit_length() // 8 + 1
-    length = len(a) + len(b) - 1
     packed_a = _binary_pack(a, nb)
     packed_b = packed_a if b is a else _binary_pack(b, nb)
-    packed = packed_a * packed_b
-    data = abs(packed).to_bytes(nb * length, "little")
+    return _binary_unpack(packed_a * packed_b, nb, len(a) + len(b) - 1)
+
+
+def _binary_unpack(value: int, nb: int, length: int) -> list[int]:
+    # The length coefficients c_i of value = sum(c_i * 256^(nb*i)), each
+    # with |c_i| < 256^nb / 2, lowest slot first.  A slot at or above half
+    # the radix holds a negative c_i and borrows 1 from the slot above; the
+    # top slot of |value| never does, as its highest nonzero c_i is positive.
+    data = abs(value).to_bytes(nb * length, "little")
     base = 1 << (8 * nb)
     half = base >> 1
     from_bytes = int.from_bytes
@@ -389,7 +407,9 @@ def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> lis
         c = from_bytes(data[i : i + nb], "little") + borrow
         borrow = c >= half
         out.append(c - base if borrow else c)
-    return [-c for c in out] if packed < 0 else out
+    if borrow:
+        raise InternalInconsistencyError("packed value borrows past its top slot")
+    return [-c for c in out] if value < 0 else out
 
 
 def _binary_pack(cs: tuple[int, ...], nb: int) -> int:

@@ -368,6 +368,13 @@ RECORD_DIGESTS = {
     # 8192 = 2^13: the power-of-two branch, 2 - Z_2048.
     ("show", "phi", "8192", "--route", "fast", "--format", "record"):
         "b98503e261bb1e6e4a957a512fe4213933b98c687c85a3b7c75f6da260a155e1",
+    # The reference route on each side of the packed size: phi_1293
+    # (m = 430) is read from one packed Clenshaw value, phi_863 (m = 431)
+    # reflects psi_863 through 2 - x.
+    ("show", "phi", "1293", "--format", "record"):
+        "5994837d9cb31beecf8de62a2f74b789ce6218bab3e25a7d7b8a2d9b0eb34ee7",
+    ("show", "phi", "863", "--format", "record"):
+        "ef8f3bf6055adcd6b08dec4af6c4f154950f7690a02a468930cf3248041adfa6",
 }
 
 

@@ -129,6 +129,29 @@ def test_psi_equals_lucas_at_powers_of_two():
         assert psi(2 ** (n + 2)) == lucas(2**n)
 
 
+def reflected_psi(n):
+    """phi_n as psi_n reflected through 2 - x: the large-index path and the oracle."""
+    return factor_mod._monic(psi(n).compose(IntPoly((2, -1))))
+
+
+def test_packed_phi_min_matches_the_reflected_psi():
+    # 1293 has the largest phi (m = 430) that packs into the binary
+    # Kronecker size; 863 (m = 431) is the first index that does not, and
+    # 3570 the largest index whose phi packs.
+    for n in [*range(3, 901), 863, 1293, 3570]:
+        assert phi_min(n) == reflected_psi(n), n
+
+
+def test_reference_route_builds_psi_only_above_the_packed_size():
+    CACHE.clear()
+    factor_zpread(1260)
+    assert CACHE.table("psi") == {}
+    for n, built in ((1293, set()), (3570, set()), (863, {863})):
+        CACHE.clear()
+        phi_min(n)
+        assert set(CACHE.table("psi")) == built, n
+
+
 @pytest.mark.parametrize("k,coeffs", PHI_POW2_TABLE.items())
 def test_phi_pow2_golden(k, coeffs):
     assert phi_pow2(k) == IntPoly(coeffs)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spreadpoly import intpoly as intpoly_mod
 from spreadpoly.intpoly import (
+    _binary_unpack,
     _kronecker_binary,
     _kronecker_bound,
     _kronecker_decimal,
@@ -21,6 +22,7 @@ from spreadpoly.intpoly import (
 )
 from spreadpoly import (
     IntPoly,
+    InternalInconsistencyError,
     NotDivisibleError,
     NotPalindromicError,
     OddDegreeError,
@@ -224,6 +226,16 @@ def test_kronecker_radix_switches_at_the_packed_size(monkeypatch):
         monkeypatch.setattr(intpoly_mod, refused, refuse)
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
         monkeypatch.undo()
+
+
+def test_binary_unpack_refuses_a_borrow_past_the_top_slot():
+    # A top slot at or above half the radix would read as a negative
+    # leading coefficient with a borrow left over; no slot bound allows it.
+    assert _binary_unpack(0x7E81, 1, 2) == [-127, 127]
+    assert _binary_unpack(-0x7E81, 1, 2) == [127, -127]
+    for value, nb, length in ((0x80, 1, 1), (-0x80, 1, 1), (0x8000, 1, 2), (0x8000, 2, 1)):
+        with pytest.raises(InternalInconsistencyError):
+            _binary_unpack(value, nb, length)
 
 
 # Operands of the zero-skipping small path: explicit zeros among mixed
