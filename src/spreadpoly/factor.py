@@ -30,7 +30,7 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-from .intpoly import _KRONECKER_BINARY_BYTES, IntPoly, X, _binary_unpack, div_exact, palindrome_fold
+from .intpoly import IntPoly, X, _binary_slot_bytes, _binary_unpack, div_exact, palindrome_fold
 from .sequences import (
     CACHE,
     _factorize,
@@ -89,8 +89,8 @@ def phi_min(n: int) -> IntPoly:
     if n >= 3:
         c = palindrome_fold(cyclotomic(n))
         m = len(c) - 1
-        nb = (sum(map(abs, c)) * lucas_value(m, 3)).bit_length() // 8 + 1
-        if nb * (m + 1) <= _KRONECKER_BINARY_BYTES:
+        nb = _binary_slot_bytes(sum(map(abs, c)) * lucas_value(m, 3), m + 1)
+        if nb:
             # psi's Clenshaw recurrence at y = 2 - 2^s, where y*b is
             # 2*b - (b << s); the sum is psi_n(2 - 2^s), so +-phi_n(2^s).
             s = 8 * nb

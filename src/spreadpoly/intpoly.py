@@ -16,10 +16,13 @@ Every product goes through one list-level kernel, which picks one of three
 paths by size: for short operands a schoolbook that skips the zero
 coefficients of both, otherwise Kronecker substitution, packed into bytes
 and multiplied as one ``int`` while the packed product is small, and packed
-into decimal digits and multiplied by ``decimal`` above that.
-``mul_schoolbook``, the dense quadratic loop, is the reference they are
-checked against.  ``palindrome_fold`` returns the central weights of a
-palindromic polynomial as a plain tuple.
+into decimal digits and multiplied by ``decimal`` above that.  This module
+alone sizes the packed slots and picks the radix; ``factor.phi_min`` packs
+its Clenshaw value through the same rule.  ``mul_schoolbook``, the dense
+quadratic loop, is the reference the paths are checked against, and
+``mul_karatsuba`` is another name for the kernel's product.
+``palindrome_fold`` returns the central weights of a palindromic
+polynomial as a plain tuple.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def get_mul_threshold() -> int:
     """Coefficient count at or below which products use the schoolbook path.
 
     Products whose shorter operand is longer go through Kronecker
-    substitution.  ``verify`` sizes its multiplication suite from it, and
-    the benchmark's tracer and child read it by name.
+    substitution.  No program path reads it; the benchmark's tracer and
+    child do, by name.
     """
     return _MUL_THRESHOLD
 
@@ -374,7 +377,7 @@ def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     # R = 256^nb and CPython's int multiplication; a larger one takes
     # R = 10^k and libmpdec's, which switches to a number-theoretic transform.
     bound = _kronecker_bound(a, b)
-    if (bound.bit_length() // 8 + 1) * (len(a) + len(b) - 1) <= _KRONECKER_BINARY_BYTES:
+    if _binary_slot_bytes(bound, len(a) + len(b) - 1):
         return _kronecker_binary(a, b, bound)
     return _kronecker_decimal(a, b, bound)
 
@@ -383,10 +386,23 @@ def _kronecker_bound(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return 2 * max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
 
 
+def _slot_bytes(bound: int) -> int:
+    # The fewest bytes nb with 256^nb > 2 * bound, so a slot of nb bytes
+    # holds every integer of absolute value at most bound.
+    return bound.bit_length() // 8 + 1
+
+
+def _binary_slot_bytes(bound: int, count: int) -> int:
+    # The slot bytes of bound when count such slots pack into at most
+    # _KRONECKER_BINARY_BYTES, so the packed value is a CPython int; else 0.
+    nb = _slot_bytes(bound)
+    return nb if nb * count <= _KRONECKER_BINARY_BYTES else 0
+
+
 def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> list[int]:
-    # Slots of nb bytes, 256^nb > bound; the packing and the borrows are
-    # those of the decimal path, in little-endian bytes.
-    nb = bound.bit_length() // 8 + 1
+    # Slots of nb bytes, 256^nb > 2 * bound; the packing and the borrows
+    # are those of the decimal path, in little-endian bytes.
+    nb = _slot_bytes(bound)
     packed_a = _binary_pack(a, nb)
     packed_b = packed_a if b is a else _binary_pack(b, nb)
     return _binary_unpack(packed_a * packed_b, nb, len(a) + len(b) - 1)
@@ -514,29 +530,6 @@ def _seq_add(a, b) -> list[int]:
     return out
 
 
-def _mul_dispatch(a, b, threshold: int) -> list[int]:
-    if min(len(a), len(b)) <= threshold:
-        return _mul_schoolbook(a, b)
-    # Split both operands at half the shorter length; the three half-size
-    # products recombine as z2*x^(2m) + (z1 - z2 - z0)*x^m + z0.
-    m = min(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _mul_dispatch(a0, b0, threshold)
-    z2 = _mul_dispatch(a1, b1, threshold)
-    z1 = _mul_dispatch(_seq_add(a0, a1), _seq_add(b0, b1), threshold)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-        out[i + m] -= c
-    for i, c in enumerate(z2):
-        out[i + 2 * m] += c
-        out[i + m] -= c
-    for i, c in enumerate(z1):
-        out[i + m] += c
-    return out
-
-
 def mul_schoolbook(p: IntPoly, q: IntPoly) -> IntPoly:
     """Exact product by the dense quadratic loop, regardless of size.
 
@@ -547,18 +540,15 @@ def mul_schoolbook(p: IntPoly, q: IntPoly) -> IntPoly:
     return IntPoly(_mul_schoolbook(p.coeffs, q.coeffs))
 
 
-def mul_karatsuba(p: IntPoly, q: IntPoly, threshold: int | None = None) -> IntPoly:
-    """Exact product by the divide-and-conquer path.
+def mul_karatsuba(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Exact product by the one list kernel, the same as ``p * q``.
 
-    ``threshold`` is the recursion floor; defaults to the schoolbook threshold.
-    Bit-identical to the schoolbook path for every input.  No product and
-    no program path calls it; it stays only because the benchmark's tracer
-    binds it by name.
+    No program path calls it; the name stays only because the benchmark's
+    tracer binds it.
     """
     if p.is_zero() or q.is_zero():
         return ZERO
-    t = _MUL_THRESHOLD if threshold is None else max(1, threshold)
-    return IntPoly(_mul_dispatch(p.coeffs, q.coeffs, t))
+    return IntPoly(_mul(p.coeffs, q.coeffs))
 
 
 # -- exact division --------------------------------------------------------

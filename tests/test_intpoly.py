@@ -107,7 +107,7 @@ def test_mul_by_int_and_pow():
 @given(p=polys, q=polys)
 def test_mul_paths_agree(p, q):
     school = mul_schoolbook(p, q)
-    assert school == mul_karatsuba(p, q, 2)
+    assert school == mul_karatsuba(p, q)
     assert school == p * q
 
 

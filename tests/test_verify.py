@@ -59,6 +59,22 @@ def test_mul_path_equivalence_catches_a_kronecker_fault(monkeypatch):
     assert result.first_failure.startswith("instance=")
 
 
+def test_mul_path_equivalence_reaches_both_kernel_paths(monkeypatch):
+    # The suite's degrees are fixed, so a schoolbook threshold raised past
+    # them would leave the Kronecker path unchecked; this fails instead.
+    real = intpoly_mod._mul
+    shorter = []
+
+    def record(a, b):
+        shorter.append(min(len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(intpoly_mod, "_mul", record)
+    assert run_suite("mul-path-equivalence").passed
+    threshold = intpoly_mod._MUL_THRESHOLD
+    assert min(shorter) <= threshold < max(shorter)
+
+
 def test_zpread_oracle_matches_the_lucas_reflection(monkeypatch):
     # The suite compares zpread(n) with 2 - W_n from the recurrence in 2 - x;
     # with 2 - L_n(2 - x) in place of zpread, every n up to 120 must pass.
