@@ -71,9 +71,10 @@ class IdentityFailureError(SpreadPolyError):
     """An exact identity check failed; carries both evaluated sides."""
 
     def __init__(self, message, left, right):
+        from .intpoly import int_to_digits  # intpoly imports this module
         self.left = left
         self.right = right
-        super().__init__(f"{message}: {left} != {right}")
+        super().__init__(f"{message}: {int_to_digits(left)} != {int_to_digits(right)}")
 
 
 class OutOfBoundsError(SpreadPolyError, ValueError):

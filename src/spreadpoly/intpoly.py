@@ -17,8 +17,10 @@ paths by size: for short operands a schoolbook that skips the zero
 coefficients of both, otherwise Kronecker substitution, packed into bytes
 and multiplied as one ``int`` while the packed product is small, and packed
 into decimal digits and multiplied by ``decimal`` above that.  This module
-alone sizes the packed slots and picks the radix; ``factor.phi_min`` packs
-its Clenshaw value through the same rule.  ``mul_schoolbook``, the dense
+alone sizes the packed slots and picks the radix.  Both radices share one
+slot format, written by ``_to_slots`` and read back by ``_from_slots``,
+which refuses a borrow left past the top slot; ``factor.phi_min``'s packed
+Clenshaw value is read the same way.  ``mul_schoolbook``, the dense
 quadratic loop, is the reference the paths are checked against, and
 ``mul_karatsuba`` is another name for the kernel's product.
 ``palindrome_fold`` returns the central weights of a palindromic
@@ -400,46 +402,25 @@ def _binary_slot_bytes(bound: int, count: int) -> int:
 
 
 def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> list[int]:
-    # Slots of nb bytes, 256^nb > 2 * bound; the packing and the borrows
-    # are those of the decimal path, in little-endian bytes.
+    # Slots of nb bytes, 256^nb > 2 * bound, little-endian.
     nb = _slot_bytes(bound)
     packed_a = _binary_pack(a, nb)
     packed_b = packed_a if b is a else _binary_pack(b, nb)
     return _binary_unpack(packed_a * packed_b, nb, len(a) + len(b) - 1)
 
 
-def _binary_unpack(value: int, nb: int, length: int) -> list[int]:
-    # The length coefficients c_i of value = sum(c_i * 256^(nb*i)), each
-    # with |c_i| < 256^nb / 2, lowest slot first.  A slot at or above half
-    # the radix holds a negative c_i and borrows 1 from the slot above; the
-    # top slot of |value| never does, as its highest nonzero c_i is positive.
-    data = abs(value).to_bytes(nb * length, "little")
-    base = 1 << (8 * nb)
-    half = base >> 1
-    from_bytes = int.from_bytes
-    out = []
-    borrow = False
-    for i in range(0, nb * length, nb):
-        c = from_bytes(data[i : i + nb], "little") + borrow
-        borrow = c >= half
-        out.append(c - base if borrow else c)
-    if borrow:
-        raise InternalInconsistencyError("packed value borrows past its top slot")
-    return [-c for c in out] if value < 0 else out
-
-
 def _binary_pack(cs: tuple[int, ...], nb: int) -> int:
-    # c_i - borrow lies in [-256^nb / 2, 256^nb / 2), so its signed bytes
-    # are c_i - borrow + 256^nb when it is negative, and the slot above
-    # borrows 1.
-    slots = []
-    borrow = False
-    for c in cs:
-        c -= borrow
-        borrow = c < 0
-        slots.append(c.to_bytes(nb, "little", signed=True))
-    packed = int.from_bytes(b"".join(slots), "little")
+    slots, borrow = _to_slots(cs, 1 << (8 * nb))
+    packed = int.from_bytes(b"".join([s.to_bytes(nb, "little") for s in slots]), "little")
     return packed - (1 << (8 * nb * len(cs))) if borrow else packed
+
+
+def _binary_unpack(value: int, nb: int, length: int) -> list[int]:
+    # The length coefficients c_i of value = sum(c_i * 256^(nb*i)).
+    data = abs(value).to_bytes(nb * length, "little")
+    from_bytes = int.from_bytes
+    slots = [from_bytes(data[i : i + nb], "little") for i in range(0, nb * length, nb)]
+    return _from_slots(slots, 1 << (8 * nb), value < 0)
 
 
 def _kronecker_decimal(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> list[int]:
@@ -447,7 +428,7 @@ def _kronecker_decimal(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> li
     # linear-time string work.  The packed operands are freed before
     # unpacking, so the memory peak stays that of the multiplication.
     k = bound.bit_length() * 30103 // 100000 + 1  # 30103/10^5 > log10(2)
-    return _kronecker_unpack(_kronecker_product(a, b, k), k, len(a) + len(b) - 1)
+    return _decimal_unpack(_kronecker_product(a, b, k), k, len(a) + len(b) - 1)
 
 
 def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], k: int) -> Decimal:
@@ -458,41 +439,54 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], k: int) -> Decima
         traps=[decimal.Inexact, decimal.Rounded],
     )
     try:
-        packed_a = _kronecker_pack(a, k, ctx)
-        packed_b = packed_a if b is a else _kronecker_pack(b, k, ctx)
+        packed_a = _decimal_pack(a, k, ctx)
+        packed_b = packed_a if b is a else _decimal_pack(b, k, ctx)
         return ctx.multiply(packed_a, packed_b)
     except (decimal.Inexact, decimal.Rounded) as exc:
         raise InternalInconsistencyError("Kronecker product was rounded") from exc
 
 
-def _kronecker_pack(cs: tuple[int, ...], k: int, ctx: decimal.Context) -> Decimal:
-    # The value sum(c_i * 10^(k*i)) as one digit string: a negative c_i
-    # fills its slot with c_i + 10^k and borrows 1 from the slot above.
-    base = 10**k
+def _decimal_pack(cs: tuple[int, ...], k: int, ctx: decimal.Context) -> Decimal:
+    # sum(c_i * 10^(k*i)) as one digit string, highest slot first.
+    slots, borrow = _to_slots(cs, 10**k)
+    packed = Decimal("".join([int_to_digits(s).zfill(k) for s in reversed(slots)]))
+    return ctx.subtract(packed, Decimal(f"1E{k * len(cs)}")) if borrow else packed
+
+
+def _decimal_unpack(packed: Decimal, k: int, length: int) -> list[int]:
+    # The lowest slot is the last k digits of the string.
+    digits = str(packed.copy_abs()).zfill(length * k)
+    slots = [_digits_to_int(digits[i : i + k]) for i in range((length - 1) * k, -1, -k)]
+    return _from_slots(slots, 10**k, packed.is_signed())
+
+
+def _to_slots(cs: tuple[int, ...], base: int) -> tuple[list[int], bool]:
+    # The slots of sum(c_i * base^i), |c_i| < base / 2, lowest first, and
+    # the borrow past the top one: a c_i that is negative after the borrow
+    # from below fills its slot with itself plus base and borrows 1.
     slots = []
     borrow = False
     for c in cs:
         c -= borrow
         borrow = c < 0
-        slots.append(int_to_digits(c + base if borrow else c).zfill(k))
-    slots.reverse()
-    packed = Decimal("".join(slots))
-    return ctx.subtract(packed, Decimal(f"1E{k * len(cs)}")) if borrow else packed
+        slots.append(c + base if borrow else c)
+    return slots, borrow
 
 
-def _kronecker_unpack(packed: Decimal, k: int, length: int) -> list[int]:
-    # Undo the borrows of the packed product, lowest slot first (the last k
-    # digits of the string); a slot at or above 10^k/2 holds a negative c_i.
-    digits = str(packed.copy_abs()).zfill(length * k)
-    base = 10**k
-    half = base // 2
+def _from_slots(slots: list[int], base: int, negative: bool) -> list[int]:
+    # The inverse of _to_slots on the slots of |value|, negated if value < 0.
+    # |value| leads with a positive coefficient, so its top slot never
+    # borrows; one that does was not written by _to_slots.
+    half = base >> 1
     out = []
     borrow = False
-    for i in range((length - 1) * k, -1, -k):
-        c = _digits_to_int(digits[i : i + k]) + borrow
+    for c in slots:
+        c += borrow
         borrow = c >= half
         out.append(c - base if borrow else c)
-    return [-c for c in out] if packed.is_signed() else out
+    if borrow:
+        raise InternalInconsistencyError("packed value borrows past its top slot")
+    return [-c for c in out] if negative else out
 
 
 def _compose_linear(cs: tuple[int, ...], a: int, b: int) -> list[int]:
@@ -609,7 +603,8 @@ def palindrome_fold(p: IntPoly) -> tuple[int, ...]:
     p(x)/x^m is rewritten in that basis; c_0 passes through as a plain
     constant rather than c_0 times the constant Lucas value 2.  The
     weights are ``p.coeffs[m:]``, and ``IntPoly(w[:0:-1] + w)`` rebuilds p
-    from them.
+    from them.  NotPalindromicError names the degree and the first unequal
+    pair of indices, never the coefficients.
 
     >>> palindrome_fold(IntPoly((1, 0, 0, 1, 0, 0, 1)))
     (1, 0, 0, 1)
@@ -618,5 +613,7 @@ def palindrome_fold(p: IntPoly) -> tuple[int, ...]:
     if d < 0 or d % 2:
         raise OddDegreeError(f"cannot fold degree {d}; need a nonzero even degree")
     if not p.is_palindromic():
-        raise NotPalindromicError(f"{p} is not palindromic")
+        cs = p.coeffs
+        i = next(i for i in range(d // 2) if cs[i] != cs[d - i])
+        raise NotPalindromicError(f"degree {d} is not palindromic: c_{i} != c_{d - i}")
     return p.coeffs[d // 2 :]

@@ -201,7 +201,7 @@ def _suite_psi_at_powers_of_two(n_max: int) -> Check:
 
 def _suite_phi_pow2_square_substitution(n_max: int) -> Check:
     for n in range(1, min(8, n_max) + 1):
-        yield f"n={n}", factor.phi_pow2(n + 1).stretch(2) == lucas(2**n)
+        yield f"n={n}", factor.phi_composed(2 ** (n + 1)).stretch(2) == lucas(2**n)
 
 
 def _multiplied(record: factor.FactorizationRecord) -> IntPoly:

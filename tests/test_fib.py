@@ -3,6 +3,7 @@
 import pytest
 
 import spreadpoly.fib as fib_mod
+from spreadpoly.intpoly import int_from_digits
 from spreadpoly import (
     CACHE,
     IdentityFailureError,
@@ -123,6 +124,18 @@ def test_identity_failure_carries_both_sides(monkeypatch):
         fib_mod.zpread_at5_identity(3)
     assert excinfo.value.left == zpread(3)(5)
     assert excinfo.value.right == 5 * 999 * 999
+
+
+def test_identity_failure_past_the_digit_limit(monkeypatch):
+    # Both sides at n = 11000 have about 4600 digits, past CPython's default
+    # 4300-digit conversion limit, so str() of either would raise ValueError.
+    real = fib_mod.fibonacci
+    monkeypatch.setattr(fib_mod, "fibonacci", lambda n: real(n) + 1)
+    with pytest.raises(IdentityFailureError) as excinfo:
+        fib_mod.zpread_at5_identity(11000)
+    left, right = str(excinfo.value).split(": ")[1].split(" != ")
+    assert int_from_digits(left) == excinfo.value.left == zpread(11000)(5)
+    assert int_from_digits(right) == excinfo.value.right == -5 * (real(11000) + 1) ** 2
 
 
 def test_verification_failure_on_bad_parts(monkeypatch):

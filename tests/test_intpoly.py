@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from spreadpoly import intpoly as intpoly_mod
 from spreadpoly.intpoly import (
+    _binary_pack,
     _binary_unpack,
+    _decimal_unpack,
     _kronecker_binary,
     _kronecker_bound,
     _kronecker_decimal,
+    _kronecker_product,
     _mul_kronecker,
     _mul_schoolbook,
     int_from_digits,
@@ -167,6 +171,8 @@ def test_kronecker_matches_schoolbook(a, b):
 
 
 @given(p=small_polys, q=small_polys)
+@example(p=IntPoly((1, -1)), q=ONE)
+@example(p=IntPoly((-1, -2, -3)), q=IntPoly((-4, -5)))
 @settings(max_examples=150)
 def test_kronecker_on_tiny_operands(p, q):
     if p.is_zero() or q.is_zero():
@@ -236,6 +242,27 @@ def test_binary_unpack_refuses_a_borrow_past_the_top_slot():
     for value, nb, length in ((0x80, 1, 1), (-0x80, 1, 1), (0x8000, 1, 2), (0x8000, 2, 1)):
         with pytest.raises(InternalInconsistencyError):
             _binary_unpack(value, nb, length)
+
+
+def test_decimal_unpack_refuses_a_borrow_past_the_top_slot():
+    # The decimal reader of the same slot format, in slots of k digits.
+    assert _decimal_unpack(Decimal(36), 1, 2) == [-4, 4]
+    assert _decimal_unpack(Decimal(-36), 1, 2) == [4, -4]
+    for value, k, length in ((6, 1, 1), (-5, 1, 1), (50, 1, 2), (50, 2, 1)):
+        with pytest.raises(InternalInconsistencyError):
+            _decimal_unpack(Decimal(value), k, length)
+
+
+@pytest.mark.parametrize(
+    "cs", [(-1,), (1, -1), (0, 0, -1), (-1, -1, -1), (4, -4), (-4, -4, -4), (-4, 0, 4, -4)]
+)
+def test_slot_codec_round_trips_negative_tops(cs):
+    # Negative top coefficients make the packed value negative, and the
+    # widest coefficients a slot holds, |c| < base / 2 at k = 1 and nb = 1,
+    # put a slot that borrows at exactly half the base.
+    assert _decimal_unpack(_kronecker_product(cs, (1,), 1), 1, len(cs)) == list(cs)
+    wide = tuple(c * 127 // 4 for c in cs)
+    assert _binary_unpack(_binary_pack(wide, 1), 1, len(wide)) == list(wide)
 
 
 # Operands of the zero-skipping small path: explicit zeros among mixed
@@ -549,6 +576,16 @@ def test_fold_examples():
     assert palindrome_fold(c9) == (1, 0, 0, 1)
     c12 = IntPoly((1, 0, -1, 0, 1))
     assert palindrome_fold(c12) == (-1, 0, 1)
+
+
+def test_fold_refusal_names_the_first_unequal_pair():
+    # lucas(10000) renders to 7.5 million characters; the message names
+    # none of them.
+    with pytest.raises(NotPalindromicError) as excinfo:
+        palindrome_fold(lucas(10000))
+    assert str(excinfo.value) == "degree 10000 is not palindromic: c_0 != c_10000"
+    with pytest.raises(NotPalindromicError, match=r"^degree 4 is not palindromic: c_1 != c_3$"):
+        palindrome_fold(IntPoly((1, 2, 0, 3, 1)))
 
 
 def test_fold_rejects_bad_inputs():
