@@ -2,7 +2,8 @@
 
 Text output uses the canonical polynomial rendering; record output is
 newline-delimited JSON with decimal-string coefficients, byte-stable
-across runs for identical requests.
+across runs for identical requests.  ``show`` and ``factor`` write both
+piece by piece, so no output of theirs is held as one string.
 """
 
 from __future__ import annotations
@@ -10,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import factor as factor_mod
 from . import fib as fib_mod
 from . import sequences, verify
 from .errors import OutOfBoundsError, SpreadPolyError, env_int
-from .factor import PhiRoute
+from .factor import FactorizationRecord, PhiRoute
+from .intpoly import IntPoly, int_to_digits
 
 DEFAULT_MAX_INDEX = 10_000
 # verify --sweep S runs six suites over every n <= S, in time growing about
@@ -36,17 +39,48 @@ _FAMILIES = {
 }
 
 
+# Coefficient strings joined per write by _write_record: one write for
+# most factors, and at most 7.8 MB, from spread(10000), at the cap.
+_RECORD_CHUNK = 1024
+
+
 def _emit_record(obj: dict) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def _emit_result(result, fmt: str) -> int:
-    """Print a factorization or primitive-part table as a record or as text."""
-    if fmt == "record":
-        _emit_record({**result.to_record(), "status": "ok"})
-    else:
-        print(result.to_text())
-    return 0
+def _write_record(pieces: Iterable[str | IntPoly]) -> None:
+    """Write one record line: each str piece as it is, each IntPoly as its coefficients.
+
+    A polynomial is written as the JSON array of its coefficient strings,
+    _RECORD_CHUNK of them at a time.  Decimal digits need no JSON escape, so
+    with pieces that are JSON text the line is byte for byte what
+    ``_emit_record`` prints for the same record.
+    """
+    write = sys.stdout.write
+    for piece in pieces:
+        if type(piece) is str:
+            write(piece)
+            continue
+        cs = piece.coeffs
+        sep = '["'
+        for i in range(0, len(cs), _RECORD_CHUNK):
+            write(sep + '","'.join(map(int_to_digits, cs[i : i + _RECORD_CHUNK])))
+            sep = '","'
+        write('"]' if cs else "[]")
+    write("\n")
+
+
+def _factorization_pieces(record: FactorizationRecord) -> Iterator[str | IntPoly]:
+    # {**record.to_record(), "status": "ok"} for _write_record.
+    yield (
+        f'{{"kind":"factorization","target":{json.dumps(record.target_kind)},'
+        f'"n":{record.n},"factors":['
+    )
+    for i, f in enumerate(record.factors):
+        yield f'{"," if i else ""}{{"d":{f.d},"multiplicity":{f.multiplicity},"coefficients":'
+        yield f.poly
+        yield "}"
+    yield '],"status":"ok"}'
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
@@ -55,17 +89,14 @@ def _cmd_show(args: argparse.Namespace) -> int:
         raise OutOfBoundsError(f"family {args.family} needs n >= {min_index}")
     poly = builder(args.n, _ROUTES[args.route])
     if args.format == "record":
-        _emit_record(
-            {
-                "kind": "poly",
-                "family": args.family,
-                "n": args.n,
-                "coefficients": poly.coefficient_strings(),
-                "status": "ok",
-            }
-        )
+        head = f'{{"kind":"poly","family":{json.dumps(args.family)},"n":{args.n},"coefficients":'
+        _write_record((head, poly, ',"status":"ok"}'))
     else:
-        print(poly.to_text())
+        # poly.to_text(), term by term.
+        terms = poly.text_terms()
+        sys.stdout.write(next(terms))
+        sys.stdout.writelines(" " + term for term in terms)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -74,16 +105,22 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         record = factor_mod.factor_zpread(args.n, _ROUTES[args.route])
     else:
         record = factor_mod.factor_lucas_minus2(args.n)
-    if args.format == "text":
+    if args.format == "record":
+        _write_record(_factorization_pieces(record))
+    else:
         # Piece by piece: the product: line alone is 26 MB at n = 9240.
         sys.stdout.writelines(record.text_pieces())
         sys.stdout.write("\n")
-        return 0
-    return _emit_result(record, args.format)
+    return 0
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    return _emit_result(fib_mod.fib_factorization(args.n), args.format)
+    table = fib_mod.fib_factorization(args.n)
+    if args.format == "record":
+        _emit_record({**table.to_record(), "status": "ok"})
+    else:
+        print(table.to_text())
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -14,15 +14,17 @@ reference it is checked against.
 
 Every product goes through one list-level kernel, which picks one of three
 paths by size: for short operands a schoolbook that skips the zero
-coefficients of both, otherwise Kronecker substitution, packed into bytes
-and multiplied as one ``int`` while the packed product is small, and packed
-into decimal digits and multiplied by ``decimal`` above that.  This module
-alone sizes the packed slots and picks the radix.  Both radices share one
-slot format, written by ``_to_slots`` and read back by ``_from_slots``,
-which refuses a borrow left past the top slot; ``factor.phi_min``'s packed
-Clenshaw value is read the same way.  ``mul_schoolbook``, the dense
-quadratic loop, is the reference the paths are checked against, and
-``mul_karatsuba`` is another name for the kernel's product.
+coefficients of both and takes a square's cross products once, otherwise
+Kronecker substitution, packed into bytes and multiplied as one ``int``
+while the packed product is small, and packed into decimal digits and
+multiplied by ``decimal`` above that.  This module alone sizes the packed
+slots and picks the radix.  Both radices share one slot format, written by
+``_to_slots`` and read back by ``_from_slots``, which refuses a borrow left
+past the top slot; each radix's reader refuses a value wider than its
+slots.  ``factor.phi_min``'s packed Clenshaw value is read the same way.
+``mul_schoolbook``, the dense quadratic loop, is the reference the paths
+are checked against, and ``mul_karatsuba`` is another name for the
+kernel's product.
 ``palindrome_fold`` returns the central weights of a palindromic
 polynomial as a plain tuple.
 """
@@ -103,10 +105,15 @@ class IntPoly:
         if not {int}.issuperset(map(type, cs)):
             bad = next(c for c in cs if type(c) is not int)
             raise TypeError(f"IntPoly coefficients must be int, not {type(bad).__name__}")
-        end = len(cs)
-        while end and cs[end - 1] == 0:
-            end -= 1
-        self._coeffs = cs[:end]
+        self._coeffs = _normalized(cs)
+
+    @classmethod
+    def _unchecked(cls, coeffs: Iterable[int]) -> IntPoly:
+        # The result of kernel arithmetic on IntPoly coefficients, which are
+        # exactly int already, so the constructor's check is skipped.
+        p = object.__new__(cls)
+        p._coeffs = _normalized(tuple(coeffs))
+        return p
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> IntPoly:
@@ -147,7 +154,7 @@ class IntPoly:
             other = IntPoly((other,))
         elif not isinstance(other, IntPoly):
             return NotImplemented
-        return IntPoly(_seq_add(self._coeffs, other._coeffs))
+        return IntPoly._unchecked(_seq_add(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
@@ -160,17 +167,17 @@ class IntPoly:
         return (-self).__add__(other)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self._coeffs))
+        return IntPoly._unchecked([-c for c in self._coeffs])
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if type(other) is int:
-            return IntPoly(tuple(c * other for c in self._coeffs))
+            return IntPoly._unchecked([c * other for c in self._coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
-        return IntPoly(_mul(a, b))
+        return IntPoly._unchecked(_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -210,8 +217,8 @@ class IntPoly:
         '1 - x'
         """
         if len(inner._coeffs) == 2:
-            return IntPoly(_compose_linear(self._coeffs, *inner._coeffs))
-        return IntPoly(_compose_horner(self._coeffs, inner._coeffs))
+            return IntPoly._unchecked(_compose_linear(self._coeffs, *inner._coeffs))
+        return IntPoly._unchecked(_compose_horner(self._coeffs, inner._coeffs))
 
     def stretch(self, k: int) -> IntPoly:
         """Substitute x^k for x by spreading coefficients; exact and cheap.
@@ -226,7 +233,7 @@ class IntPoly:
         out = [0] * ((len(self._coeffs) - 1) * k + 1)
         for i, c in enumerate(self._coeffs):
             out[i * k] = c
-        return IntPoly(out)
+        return IntPoly._unchecked(out)
 
     def __call__(self, a: int | Fraction | float | IntPoly) -> int | Fraction | float | IntPoly:
         """The value at ``a`` by Horner's rule.
@@ -280,6 +287,14 @@ class IntPoly:
     @classmethod
     def from_coefficient_strings(cls, strings: Iterable[str]) -> IntPoly:
         return cls(int_from_digits(s) for s in strings)
+
+
+def _normalized(cs: tuple[int, ...]) -> tuple[int, ...]:
+    # cs without its trailing zeros; the zero polynomial is ().
+    end = len(cs)
+    while end and cs[end - 1] == 0:
+        end -= 1
+    return cs[:end]
 
 
 ZERO = IntPoly()
@@ -348,13 +363,21 @@ def _mul(a, b) -> list[int]:
     # The product of two nonempty coefficient sequences.  Up to the threshold
     # the longer operand runs in the outer loop and the inner loop visits only
     # the nonzero coefficients of the shorter one, so the parity-sparse Lucas,
-    # cyclotomic and zpread operands cost half their length or less.
+    # cyclotomic and zpread operands cost half their length or less.  A
+    # square takes each cross product once, doubled.
     if len(a) < len(b):
         a, b = b, a
     if len(b) > _MUL_THRESHOLD:
         return _mul_kronecker(a, b)
     terms = [(j, c) for j, c in enumerate(b) if c]
     out = [0] * (len(a) + len(b) - 1)
+    if a is b:
+        for k, (i, ai) in enumerate(terms):
+            out[2 * i] += ai * ai
+            twice = ai << 1
+            for j, aj in terms[k + 1 :]:
+                out[i + j] += twice * aj
+        return out
     for i, ai in enumerate(a):
         if ai:
             for j, bj in terms:
@@ -417,7 +440,10 @@ def _binary_pack(cs: tuple[int, ...], nb: int) -> int:
 
 def _binary_unpack(value: int, nb: int, length: int) -> list[int]:
     # The length coefficients c_i of value = sum(c_i * 256^(nb*i)).
-    data = abs(value).to_bytes(nb * length, "little")
+    try:
+        data = abs(value).to_bytes(nb * length, "little")
+    except OverflowError:
+        raise InternalInconsistencyError("packed value is wider than its slots") from None
     from_bytes = int.from_bytes
     slots = [from_bytes(data[i : i + nb], "little") for i in range(0, nb * length, nb)]
     return _from_slots(slots, 1 << (8 * nb), value < 0)
@@ -455,7 +481,10 @@ def _decimal_pack(cs: tuple[int, ...], k: int, ctx: decimal.Context) -> Decimal:
 
 def _decimal_unpack(packed: Decimal, k: int, length: int) -> list[int]:
     # The lowest slot is the last k digits of the string.
-    digits = str(packed.copy_abs()).zfill(length * k)
+    digits = str(packed.copy_abs())
+    if len(digits) > length * k:
+        raise InternalInconsistencyError("packed value is wider than its slots")
+    digits = digits.zfill(length * k)
     slots = [_digits_to_int(digits[i : i + k]) for i in range((length - 1) * k, -1, -k)]
     return _from_slots(slots, 10**k, packed.is_signed())
 
@@ -589,7 +618,7 @@ def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
             rem[i + dq] = 0
     if any(rem):
         raise NotDivisibleError(f"degree {dp} / degree {dq} leaves a nonzero remainder")
-    return IntPoly(quot)
+    return IntPoly._unchecked(quot)
 
 
 # -- palindrome folding -----------------------------------------------------

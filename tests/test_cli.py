@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import spreadpoly.cli as cli_mod
 import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
-from spreadpoly import ConfigurationError, IntPoly, X, spread, verify
+from spreadpoly import ConfigurationError, IntPoly, X, ZERO, spread, verify
 from spreadpoly import sequences
 from spreadpoly.cli import MAX_SWEEP, main
 from spreadpoly.errors import OutOfBoundsError, SpreadPolyError, env_int
@@ -366,11 +367,17 @@ RECORD_DIGESTS = {
         "16469eb2bba4fc49f13d51b41083e8cdd018466673321be4f49cf60241208b6e",
     ("factor", "2520", "--format", "record", "--route", "fast"):
         "16469eb2bba4fc49f13d51b41083e8cdd018466673321be4f49cf60241208b6e",
+    # Records written in chunks of 1024 coefficient strings: zpread(2049)
+    # takes two full chunks and two strings, spread(1500) one and 477.
+    ("show", "zpread", "2049", "--format", "record"):
+        "5e09173a5e546c8f1580b428067c438604fbf211a60444891e49e0b28f2edf23",
+    ("show", "spread", "1500", "--format", "record"):
+        "7e1d60636a94a90605b0230371f8958dc16330f48a4bade214555ed55ee91f45",
 }
 
 
 # Only the text format prints a factorization's target, built on demand
-# from FactorizationRecord.product.
+# from FactorizationRecord.product; show writes its text term by term.
 TEXT_DIGESTS = {
     ("factor", "60", "--format", "text"):
         "20c3d105b32edb03a77f8734e8a8b02e6452a5974a3fbfd974e67185f885b976",
@@ -378,6 +385,8 @@ TEXT_DIGESTS = {
         "20c3d105b32edb03a77f8734e8a8b02e6452a5974a3fbfd974e67185f885b976",
     ("factor", "36", "lucas", "--format", "text"):
         "c7f909429483693758ec3e2d0b03083dce2148f57baf6cfc36ec38d0e88e7729",
+    ("show", "zpread", "2049", "--format", "text"):
+        "09c45031591ea0b2100f47a6eb97d3c77448167a6b6ef9ef795b3d76b6495a43",
 }
 
 
@@ -395,6 +404,42 @@ def test_factor_text_bytes_are_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def dumps_line(record):
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def test_show_writes_what_json_dumps_would(capsys):
+    # The streamed record and text of every family, both routes, at indices
+    # from one coefficient to past one chunk of 1024 coefficient strings.
+    for family, (builder, _) in cli_mod._FAMILIES.items():
+        for n in (1, 2, 12, 105, 1030):
+            for route in ("min", "fast"):
+                poly = builder(n, cli_mod._ROUTES[route])
+                argv = ("show", family, str(n), "--route", route)
+                record = {
+                    "kind": "poly",
+                    "family": family,
+                    "n": n,
+                    "coefficients": poly.coefficient_strings(),
+                    "status": "ok",
+                }
+                assert run_cli(capsys, *argv, "--format", "record")[1] == dumps_line(record), argv
+                assert run_cli(capsys, *argv, "--format", "text")[1] == poly.to_text() + "\n", argv
+    cli_mod._write_record(("{", ZERO, "}"))
+    assert capsys.readouterr().out == "{[]}\n"
+
+
+def test_factor_writes_what_json_dumps_would(capsys):
+    for n in range(1, 301):
+        for route in ("min", "fast"):
+            record = factor_mod.factor_zpread(n, cli_mod._ROUTES[route])
+            out = run_cli(capsys, "factor", str(n), "--format", "record", "--route", route)[1]
+            assert out == dumps_line({**record.to_record(), "status": "ok"}), (n, route)
+        record = factor_mod.factor_lucas_minus2(n)
+        out = run_cli(capsys, "factor", str(n), "lucas", "--format", "record")[1]
+        assert out == dumps_line({**record.to_record(), "status": "ok"}), n
 
 
 def run_subprocess(overrides, *argv):

@@ -47,6 +47,11 @@ small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-20, max_value=2
 HUGE = 10**5000  # past the default 4300-digit int/str conversion limit
 
 
+def well_formed(p):
+    """Exactly-int coefficients and no trailing zero, as the constructor makes them."""
+    return all(type(c) is int for c in p.coeffs) and p.coeffs[-1:] != (0,)
+
+
 def test_normalization_strips_trailing_zeros():
     assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert IntPoly((0, 0, 0)).coeffs == ()
@@ -239,7 +244,9 @@ def test_binary_unpack_refuses_a_borrow_past_the_top_slot():
     # leading coefficient with a borrow left over; no slot bound allows it.
     assert _binary_unpack(0x7E81, 1, 2) == [-127, 127]
     assert _binary_unpack(-0x7E81, 1, 2) == [127, -127]
-    for value, nb, length in ((0x80, 1, 1), (-0x80, 1, 1), (0x8000, 1, 2), (0x8000, 2, 1)):
+    # A value wider than its slots is refused too.
+    refused = ((0x80, 1, 1), (-0x80, 1, 1), (0x8000, 1, 2), (0x8000, 2, 1), (0x10203, 1, 2))
+    for value, nb, length in refused:
         with pytest.raises(InternalInconsistencyError):
             _binary_unpack(value, nb, length)
 
@@ -248,7 +255,7 @@ def test_decimal_unpack_refuses_a_borrow_past_the_top_slot():
     # The decimal reader of the same slot format, in slots of k digits.
     assert _decimal_unpack(Decimal(36), 1, 2) == [-4, 4]
     assert _decimal_unpack(Decimal(-36), 1, 2) == [4, -4]
-    for value, k, length in ((6, 1, 1), (-5, 1, 1), (50, 1, 2), (50, 2, 1)):
+    for value, k, length in ((6, 1, 1), (-5, 1, 1), (50, 1, 2), (50, 2, 1), (123, 1, 2)):
         with pytest.raises(InternalInconsistencyError):
             _decimal_unpack(Decimal(value), k, length)
 
@@ -302,6 +309,7 @@ def test_small_products_match_the_dense_schoolbook(p, q):
     expected = mul_schoolbook(p, q)
     assert p * q == expected
     assert q * p == expected
+    assert p * p == mul_schoolbook(p, p)
 
 
 def left_fold(polys):
@@ -398,7 +406,9 @@ def test_div_zero_numerator():
 @given(p=polys, q=polys)
 def test_div_round_trip(p, q):
     if not q.is_zero():
-        assert div_exact(p * q, q) == p
+        quotient = div_exact(p * q, q)
+        assert quotient == p
+        assert well_formed(quotient)
 
 
 def fraction_div(p, q):
@@ -463,7 +473,9 @@ linear_inners = st.one_of(
 @example(p=IntPoly((1, -2, 3)), inner=IntPoly((-HUGE, HUGE + 7)))
 @settings(max_examples=300, deadline=None)
 def test_linear_compose_matches_horner(p, inner):
-    assert p.compose(inner) == p(inner)
+    composed = p.compose(inner)
+    assert composed == p(inner)
+    assert well_formed(composed)
 
 
 # Inners that are not linear: zero, constants, sparse inners with a zero
@@ -486,7 +498,9 @@ nonlinear_inners = st.one_of(
 @example(p=IntPoly(range(-3, 4)), inner=IntPoly((*range(1, 40), -1)))
 @settings(max_examples=150, deadline=None)
 def test_nonlinear_compose_matches_horner(p, inner):
-    assert p.compose(inner) == p(inner)
+    composed = p.compose(inner)
+    assert composed == p(inner)
+    assert well_formed(composed)
 
 
 @given(p=polys)
@@ -568,6 +582,8 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p * ONE == p
     assert p + ZERO == p
+    results = (p + q, p - q, 3 - p, -p, p * q, p * p, p * -2, p * 0, p.stretch(3))
+    assert all(map(well_formed, results))
 
 
 def test_fold_examples():
