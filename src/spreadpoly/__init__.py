@@ -5,6 +5,14 @@ arbitrary-precision integer arithmetic, factors each zpread polynomial
 into one factor per divisor (three independent routes, cross-checked),
 and applies the factorization at x = 5 to split Fibonacci numbers into
 primitive parts.
+
+``import spreadpoly`` loads the errors, intpoly, sequences and factor
+layers, which every command builds on.  The fib and verify layers load on
+first use: reading one of their names here (``spreadpoly.fib_factorization``,
+``spreadpoly.run_verification``, ``spreadpoly.verify``, ...) imports its
+module through ``__getattr__``, which returns that module's own object
+and binds nothing in this namespace.  So ``show`` and ``factor`` load
+neither, ``fib`` loads fib alone, and ``verify`` loads both.
 """
 
 from .errors import (
@@ -36,7 +44,6 @@ from .factor import (
     phi_pow2,
     psi,
 )
-from .fib import PrimitivePartTable, fib_factorization, primitive_part, zpread_at5_identity
 from .intpoly import (
     IntPoly,
     ONE,
@@ -61,9 +68,22 @@ from .sequences import (
     zpread,
     zpread_via_lucas,
 )
-from .verify import SuiteResult, VerifyReport, run_suite, run_verification
 
 __version__ = "0.1.0"
+
+# Public name -> the module, loaded on first use, that defines it.
+_LAZY = {
+    "PrimitivePartTable": "fib",
+    "fib_factorization": "fib",
+    "primitive_part": "fib",
+    "zpread_at5_identity": "fib",
+    "SuiteResult": "verify",
+    "VerifyReport": "verify",
+    "run_suite": "verify",
+    "run_verification": "verify",
+    "fib": "fib",
+    "verify": "verify",
+}
 
 __all__ = [
     "CACHE",
@@ -120,3 +140,18 @@ __all__ = [
     "zpread_at5_identity",
     "zpread_via_lucas",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ takes the import system's own path, so -X importtime lists
+    # the module; loading it binds the submodule name here and nothing else.
+    __import__(f"{__name__}.{module}")
+    loaded = globals()[module]
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,11 @@ Text output uses the canonical polynomial rendering; record output is
 newline-delimited JSON with decimal-string coefficients, byte-stable
 across runs for identical requests.  ``show`` and ``factor`` write both
 piece by piece, so no output of theirs is held as one string.
+
+Each command loads only the layers it runs.  ``show`` and ``factor`` run
+on the intpoly, sequences and factor modules that importing the package
+loads; ``fib`` imports the fib module inside its command, and ``verify``
+the verify module, which imports fib.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ import sys
 from typing import Iterable, Iterator
 
 from . import factor as factor_mod
-from . import fib as fib_mod
-from . import sequences, verify
+from . import sequences
 from .errors import OutOfBoundsError, SpreadPolyError, env_int
 from .factor import FactorizationRecord, PhiRoute
 from .intpoly import IntPoly, int_to_digits
@@ -115,7 +119,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    table = fib_mod.fib_factorization(args.n)
+    from . import fib
+
+    table = fib.fib_factorization(args.n)
     if args.format == "record":
         _emit_record({**table.to_record(), "status": "ok"})
     else:
@@ -124,6 +130,8 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     if args.sweep > MAX_SWEEP:
         raise OutOfBoundsError(f"sweep {args.sweep} exceeds the maximum {MAX_SWEEP}")
     if args.corrupt_phi is not None and not 1 <= args.corrupt_phi <= args.sweep:

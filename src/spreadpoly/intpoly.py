@@ -35,9 +35,8 @@ import decimal
 import heapq
 import re
 from decimal import Decimal
-from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     InternalInconsistencyError,
@@ -46,6 +45,9 @@ from .errors import (
     OddDegreeError,
     OutOfBoundsError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Products whose shorter operand has at most this many coefficients use the
 # schoolbook path.  Measured against Kronecker substitution it breaks even
