@@ -134,7 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.sweep > MAX_SWEEP:
         raise OutOfBoundsError(f"sweep {args.sweep} exceeds the maximum {MAX_SWEEP}")
-    if args.corrupt_phi is not None and not 1 <= args.corrupt_phi <= args.sweep:
+    # A sweep below 1 is left to run_verification to refuse.
+    if args.corrupt_phi is not None and args.sweep >= 1 and not 1 <= args.corrupt_phi <= args.sweep:
         raise OutOfBoundsError(f"corrupt-phi index {args.corrupt_phi} is outside 1..{args.sweep}")
     with factor_mod.corrupted_phi(args.corrupt_phi):
         report = verify.run_verification(args.sweep)

@@ -15,9 +15,11 @@ reference it is checked against.
 Every product goes through one list-level kernel, which picks one of three
 paths by size: for short operands a schoolbook that skips the zero
 coefficients of both and takes a square's cross products once, otherwise
-Kronecker substitution, packed into bytes and multiplied as one ``int``
-while the packed product is small, and packed into decimal digits and
-multiplied by ``decimal`` above that.  This module alone sizes the packed
+Kronecker substitution, packed into bytes while the packed product is
+small, and packed into decimal digits and multiplied by ``decimal`` above
+that.  The binary radix multiplies at 2^s and -2^s, two ``int`` products
+of half the packed width, and reads the even- and odd-index coefficients
+from their sum and difference.  This module alone sizes the packed
 slots and picks the radix.  Both radices share one slot format, written by
 ``_to_slots`` and read back by ``_from_slots``, which refuses a borrow left
 past the top slot; each radix's reader refuses a value wider than its
@@ -56,18 +58,20 @@ _MUL_THRESHOLD = 32
 
 # Two packed kernels run on CPython ints up to this many packed bytes.
 # Kronecker products that pack into more multiply in decimal.  Whole
-# kernel on squares of random polynomials, binary against decimal (ms;
-# 2-vCPU Linux VM, Python 3.11.7, one CPU, CPU time):
-#     61 x 81 bits      2.6 KiB    0.17 against 0.40
-#    193 x 81 bits      8.3 KiB    0.43 against 0.83
-#    200 x 200 bits    20.3 KiB    1.33 against 1.56
-#    200 x 400 bits    39.7 KiB    3.69 against 3.31
-#    200 x 1000 bits   98.2 KiB    15.3 against 8.9
-# From 24 to 48 KiB the two trade places as libmpdec steps between
-# transform sizes (0.7x to 1.5x); the squares of factor n up to 1260 reach
-# 25.8 KiB.  factor.phi_min runs psi's Clenshaw sum on one int holding
-# phi_n in slots when they fit, and reflects the list-built psi_n when
-# not.  Packed against reflected, from a cached cyclotomic(n), same setup:
+# kernel on squares of random polynomials, two-point binary against
+# decimal (ms; 2-vCPU Linux VM, Python 3.11.7, one CPU, CPU time, medians
+# of five runs):
+#     61 x 81 bits      2.6 KiB    0.09 against 0.44
+#    193 x 81 bits      8.3 KiB    0.41 against 0.92
+#    200 x 200 bits    20.3 KiB    1.05 against 1.99
+#    200 x 400 bits    39.7 KiB    2.52 against 3.37
+#    200 x 1000 bits   98.2 KiB    10.7 against 9.3
+# So the binary radix wins past 32 KiB, up to somewhere between 40 and
+# 98 KiB; the squares of factor n up to 1260 reach 25.8 KiB.  The cutoff
+# stays at 32 KiB because factor.phi_min reads the same rule to choose its
+# packed Clenshaw: it runs psi's Clenshaw sum on one int holding phi_n in
+# slots when they fit, and reflects the list-built psi_n when not.  Packed
+# against reflected, from a cached cyclotomic(n), same setup:
 #    n = 1260   m = 144     3.7 KiB    0.30 against 1.15
 #    n = 2520   m = 288    14.4 KiB    1.84 against 4.34
 #    n = 1293   m = 430    32.0 KiB    5.77 against 10.19
@@ -401,7 +405,7 @@ def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     # 2 * max|a| * max|b| * min(len), so every product coefficient lies
     # strictly between -R/2 and R/2 and the slots can be read back one by
     # one.  A product that packs into at most _KRONECKER_BINARY_BYTES takes
-    # R = 256^nb and CPython's int multiplication; a larger one takes
+    # R = 256^nb and two CPython int products at +-16^nb; a larger one takes
     # R = 10^k and libmpdec's, which switches to a number-theoretic transform.
     bound = _kronecker_bound(a, b)
     if _binary_slot_bytes(bound, len(a) + len(b) - 1):
@@ -427,11 +431,29 @@ def _binary_slot_bytes(bound: int, count: int) -> int:
 
 
 def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> list[int]:
-    # Slots of nb bytes, 256^nb > 2 * bound, little-endian.
+    # Two-point Kronecker substitution (Harvey, arXiv:0712.4046): h = a * b
+    # is read from h(2^s) and h(-2^s), two int products of half the width
+    # of h(2^(2s)).  Slots hold nb bytes, 2^(2s) = 256^nb > 2 * bound, and
+    # nb is rounded up to even, so s = 4 * nb bits is whole bytes.  Each
+    # operand is E(x^2) + x * O(x^2), and E and O are packed apart, so
+    # a(+-2^s) = E_a +- (O_a << s) at x^2 = 2^(2s); then h(2^s) + h(-2^s)
+    # is 2 * E_h and h(2^s) - h(-2^s) is O_h << (s + 1).
     nb = _slot_bytes(bound)
-    packed_a = _binary_pack(a, nb)
-    packed_b = packed_a if b is a else _binary_pack(b, nb)
-    return _binary_unpack(packed_a * packed_b, nb, len(a) + len(b) - 1)
+    nb += nb & 1
+    s = 4 * nb
+    even_a, odd_a = _binary_pack(a[0::2], nb), _binary_pack(a[1::2], nb) << s
+    if b is a:
+        plus = (even_a + odd_a) ** 2
+        minus = (even_a - odd_a) ** 2
+    else:
+        even_b, odd_b = _binary_pack(b[0::2], nb), _binary_pack(b[1::2], nb) << s
+        plus = (even_a + odd_a) * (even_b + odd_b)
+        minus = (even_a - odd_a) * (even_b - odd_b)
+    length = len(a) + len(b) - 1
+    out = [0] * length
+    out[0::2] = _binary_unpack((plus + minus) >> 1, nb, (length + 1) // 2)
+    out[1::2] = _binary_unpack((plus - minus) >> (s + 1), nb, length // 2)
+    return out
 
 
 def _binary_pack(cs: tuple[int, ...], nb: int) -> int:

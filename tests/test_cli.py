@@ -223,39 +223,49 @@ def test_usage_error_exits_nonzero():
         assert excinfo.value.code == 2
 
 
-# Each library call at its minimum index - 1, with a CLI request refused at
-# the same minimum and its stderr line, where there is one.
+# Each library call at its minimum index - 1, with the CLI requests refused at
+# the same minimum and their stderr line, where there are any.
 BELOW_MINIMUM = [
-    (sequences.lucas, -1, ("show", "lucas", "-1"), "family lucas needs n >= 0"),
-    (sequences.cyclotomic, 0, None, None),
-    (sequences.zpread, 0, None, None),
-    (sequences.fibonacci, -1, None, None),
-    (sequences.zpread_via_lucas, 0, None, None),
-    (sequences.totient, 0, None, None),
-    (sequences.divisors, 0, None, None),
-    (factor_mod.cross_check_phi, 0, None, None),
-    (factor_mod.capital_phi, 0, None, None),
-    (factor_mod.factor_zpread, 0, ("factor", "0"), "index must be positive"),
-    (factor_mod.factor_lucas_minus2, 0, None, None),
-    (fib_mod.primitive_part, 0, None, None),
-    (verify.part_from_minimal_polynomial, 0, None, None),
-    (fib_mod.fib_factorization, 0, ("fib", "0"), "index must be positive"),
-    (fib_mod.zpread_at5_identity, 0, None, None),
-    (verify.run_verification, 0, ("verify", "--sweep", "0"), "sweep bound must be at least 1"),
+    (sequences.lucas, -1, [("show", "lucas", "-1")], "family lucas needs n >= 0"),
+    (sequences.cyclotomic, 0, [], None),
+    (sequences.zpread, 0, [], None),
+    (sequences.fibonacci, -1, [], None),
+    (sequences.zpread_via_lucas, 0, [], None),
+    (sequences.totient, 0, [], None),
+    (sequences.divisors, 0, [], None),
+    (factor_mod.cross_check_phi, 0, [], None),
+    (factor_mod.capital_phi, 0, [], None),
+    (factor_mod.factor_zpread, 0, [("factor", "0")], "index must be positive"),
+    (factor_mod.factor_lucas_minus2, 0, [], None),
+    (fib_mod.primitive_part, 0, [], None),
+    (verify.part_from_minimal_polynomial, 0, [], None),
+    (fib_mod.fib_factorization, 0, [("fib", "0")], "index must be positive"),
+    (fib_mod.zpread_at5_identity, 0, [], None),
+    # A sweep below 1 is refused whatever the corrupt-phi index.
+    (
+        verify.run_verification,
+        0,
+        [
+            ("verify", "--sweep", "0"),
+            ("verify", "--sweep", "0", "--corrupt-phi", "1"),
+            ("verify", "--sweep", "-3", "--corrupt-phi", "1"),
+        ],
+        "sweep bound must be at least 1",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "call,n,argv,line", BELOW_MINIMUM, ids=[row[0].__name__ for row in BELOW_MINIMUM]
+    "call,n,argvs,line", BELOW_MINIMUM, ids=[row[0].__name__ for row in BELOW_MINIMUM]
 )
-def test_below_minimum_is_out_of_bounds(capsys, call, n, argv, line):
+def test_below_minimum_is_out_of_bounds(capsys, call, n, argvs, line):
     # Typed for callers that catch SpreadPolyError, and still a ValueError.
     with pytest.raises(OutOfBoundsError) as excinfo:
         call(n)
     assert isinstance(excinfo.value, SpreadPolyError)
     assert isinstance(excinfo.value, ValueError)
-    if argv is not None:
-        assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+    for argv in argvs:
+        assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n"), argv
 
 
 # Requests outside a function's domain other than below its minimum index,

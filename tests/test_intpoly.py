@@ -20,6 +20,7 @@ from spreadpoly.intpoly import (
     _kronecker_product,
     _mul_kronecker,
     _mul_schoolbook,
+    _slot_bytes,
     int_from_digits,
     int_to_digits,
     product,
@@ -178,8 +179,11 @@ def test_kronecker_matches_schoolbook(a, b):
 @given(p=small_polys, q=small_polys)
 @example(p=IntPoly((1, -1)), q=ONE)
 @example(p=IntPoly((-1, -2, -3)), q=IntPoly((-4, -5)))
+@example(p=IntPoly((-7,)), q=IntPoly((3,)))
 @settings(max_examples=150)
 def test_kronecker_on_tiny_operands(p, q):
+    # Length-1 and length-2 operands leave the binary radix an empty odd
+    # half, of an operand or of the product.
     if p.is_zero() or q.is_zero():
         return
     a, b = p.coeffs, q.coeffs
@@ -198,12 +202,27 @@ def test_kronecker_unbalanced_shapes():
 
 def test_kronecker_at_the_slot_bound():
     # Operands of equal magnitude make the middle product coefficients as
-    # large as the slot width allows: min(len) * max|a| * max|b|.
-    for m in (1, 9, 10**40 - 1, 10**40):
+    # large as the slot width allows: min(len) * max|a| * max|b|.  The
+    # binary radix rounds an odd slot width up to even; both occur here.
+    parities = set()
+    for m in (1, 9, 10**40 - 1, 10**40, 2**130):
         for a, b in (((m,) * 33, (m,) * 40), ((m,) * 33, (-m,) * 35), ((-m, m) * 20, (m, -m) * 17)):
+            parities.add(_slot_bytes(_kronecker_bound(a, b)) % 2)
             for kronecker in RADICES:
                 assert kronecker(a, b) == _mul_schoolbook(a, b)
                 assert kronecker(a, a) == _mul_schoolbook(a, a)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("i,j", [(34, 36), (33, 34), (33, 35)])
+def test_kronecker_on_parity_sparse_operands(i, j):
+    # L_n has only terms of the parity of n, so one half of each operand
+    # and one half of each product is all zeros.
+    a, b = lucas(i).coeffs, lucas(j).coeffs
+    for kronecker in RADICES:
+        assert kronecker(a, b) == _mul_schoolbook(a, b)
+        assert kronecker(a, a) == _mul_schoolbook(a, a)
+        assert kronecker(b, b) == _mul_schoolbook(b, b)
 
 
 def test_kronecker_beyond_the_digit_limit():
