@@ -308,11 +308,8 @@ class FactorizationRecord:
             "factors": [f.to_record() for f in self.factors],
         }
 
-    def to_text(self) -> str:
-        return "".join(self.text_pieces())
-
     def text_pieces(self) -> Iterator[str]:
-        """``to_text`` in pieces: line by line, and the product: line term by term.
+        """The text format in pieces: line by line, and the product: line term by term.
 
         The product: line spells out the whole target, 26 MB at n = 9240,
         so a writer never needs it as one string.

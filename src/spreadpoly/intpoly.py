@@ -34,7 +34,7 @@ polynomial as a plain tuple.
 from __future__ import annotations
 
 import decimal
-import heapq
+import math
 import re
 from decimal import Decimal
 from itertools import chain
@@ -309,23 +309,12 @@ X = IntPoly((0, 1))
 
 
 def product(polys: Iterable[IntPoly]) -> IntPoly:
-    """The product of every polynomial in ``polys`` by a size-balanced tree; ONE if empty.
-
-    The two shortest operands are multiplied first and their product goes
-    back into the pool, so the large products come last and have operands
-    of similar size.
+    """The product of every polynomial in ``polys``, left to right; ONE if empty.
 
     >>> str(product([X - 1, X + 1, X]))
     '-x + x^3'
     """
-    pool = [(len(p.coeffs), i, p) for i, p in enumerate((ONE, *polys))]
-    heapq.heapify(pool)
-    for i in range(len(pool), 2 * len(pool) - 1):
-        _, _, p = heapq.heappop(pool)
-        _, _, q = heapq.heappop(pool)
-        r = p * q
-        heapq.heappush(pool, (len(r.coeffs), i, r))
-    return pool[0][2]
+    return math.prod(polys, start=ONE)
 
 
 # -- decimal digit strings ---------------------------------------------------
@@ -593,9 +582,7 @@ def mul_karatsuba(p: IntPoly, q: IntPoly) -> IntPoly:
     No program path calls it; the name stays only because the benchmark's
     tracer binds it.
     """
-    if p.is_zero() or q.is_zero():
-        return ZERO
-    return IntPoly(_mul(p.coeffs, q.coeffs))
+    return p * q
 
 
 # -- exact division --------------------------------------------------------

@@ -294,29 +294,11 @@ def _suite_fibonacci_divisibility(n_max: int) -> Check:
 # -- randomized kernel properties ---------------------------------------------
 
 
-def _random_coeffs(rng: random.Random, count: int, bound: int) -> list[int]:
-    """``count`` draws of ``rng.randint(-bound, bound)``, by the same rejection.
-
-    randint keeps getrandbits(k) for k = (2*bound + 1).bit_length() once it
-    is below 2*bound + 1, so both leave rng in the same state; this skips
-    its per-call overhead.
-    """
-    span = 2 * bound + 1
-    k = span.bit_length()
-    bits = rng.getrandbits
-    draws: list[int] = []
-    while len(draws) < count:
-        r = bits(k)
-        if r < span:
-            draws.append(r - bound)
-    return draws
-
-
 def _random_poly(rng: random.Random, max_degree: int, coeff_bound: int) -> IntPoly:
     degree = rng.randint(-1, max_degree)
     if degree < 0:
         return ZERO
-    coeffs = _random_coeffs(rng, degree, coeff_bound)
+    coeffs = rng.choices(range(-coeff_bound, coeff_bound + 1), k=degree)
     lead = 0
     while lead == 0:
         lead = rng.randint(-coeff_bound, coeff_bound)
@@ -360,7 +342,7 @@ def _suite_fold_round_trip(n_max: int) -> Check:
         if m == 0:
             p = IntPoly((lead,))
         else:
-            half = [lead, *_random_coeffs(rng, m - 1, 10**6)]
+            half = [lead, *rng.choices(range(-10**6, 10**6 + 1), k=m - 1)]
             center = rng.randint(-10**6, 10**6)
             p = IntPoly(half + [center] + half[::-1])
         w = palindrome_fold(p)

@@ -1,7 +1,5 @@
 """Verification report machinery at small sweeps."""
 
-import random
-
 import pytest
 
 import spreadpoly.factor as factor_mod
@@ -134,19 +132,25 @@ def test_suite_results_are_deterministic():
     assert first.to_record() == second.to_record()
 
 
-@pytest.mark.parametrize(
-    "offset, bound", [(0, 10**6), (1, 10**6), (2, 10**6), (3, 10**9), (4, 20), (5, 10**6)]
-)
-def test_random_coeffs_replay_randint(offset, bound):
-    # Each randomized suite's seed with its coefficient bound: the fast draw
-    # must give randint's values and leave the generator in randint's state,
-    # or the suites' instances (and their record bytes) would change.
-    seed = verify_mod._RNG_SEED + offset
-    fast, slow = random.Random(seed), random.Random(seed)
-    assert verify_mod._random_coeffs(fast, 5000, bound) == [
-        slow.randint(-bound, bound) for _ in range(5000)
-    ]
-    assert fast.random() == slow.random()
+def test_random_draws_cover_their_range(monkeypatch):
+    # compose-associativity draws every coefficient from [-20, 20].  The
+    # coefficients below each lead must reach both ends and nothing past
+    # them, so a draw that drops an end of its range fails here.
+    real = verify_mod._random_poly
+    drawn = []
+
+    def recording(rng, max_degree, coeff_bound):
+        drawn.append(real(rng, max_degree, coeff_bound))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify_mod, "_random_poly", recording)
+    assert run_suite("compose-associativity").failures == 0
+    assert len(drawn) == 3 * verify_mod._INSTANCES
+    polys = [p for p in drawn if not p.is_zero()]
+    assert all(p.degree() <= 4 for p in polys)
+    assert {abs(p.leading_coefficient()) for p in polys} <= set(range(1, 21))
+    lower = {c for p in polys for c in p.coeffs[:-1]}
+    assert lower == set(range(-20, 21))
 
 
 def test_record_shape_excludes_timing():
