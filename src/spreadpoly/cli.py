@@ -2,8 +2,9 @@
 
 Text output uses the canonical polynomial rendering; record output is
 newline-delimited JSON with decimal-string coefficients, byte-stable
-across runs for identical requests.  ``show`` and ``factor`` write both
-piece by piece, so no output of theirs is held as one string.
+across runs for identical requests.  One writer, ``_emit_record``, puts
+every line on stdout; ``show`` and ``factor`` hand it theirs piece by
+piece, so no output of theirs is held as one string.
 
 Each command loads only the layers it runs.  ``show`` and ``factor`` run
 on the intpoly, sequences and factor modules that importing the package
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -43,22 +45,19 @@ _FAMILIES = {
 }
 
 
-# Coefficient strings joined per write by _write_record: one write for
+# Coefficient strings joined per write by _emit_record: one write for
 # most factors, and at most 7.8 MB, from spread(10000), at the cap.
 _RECORD_CHUNK = 1024
 
 
-def _emit_record(obj: dict) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _emit_record(pieces: Iterable[str | IntPoly]) -> None:
+    """Write pieces and a newline: each str piece as it is, each IntPoly as its coefficients.
 
-
-def _write_record(pieces: Iterable[str | IntPoly]) -> None:
-    """Write one record line: each str piece as it is, each IntPoly as its coefficients.
-
-    A polynomial is written as the JSON array of its coefficient strings,
-    _RECORD_CHUNK of them at a time.  Decimal digits need no JSON escape, so
-    with pieces that are JSON text the line is byte for byte what
-    ``_emit_record`` prints for the same record.
+    The only writer of stdout: each call writes one record line, or the
+    whole text of one command.  A polynomial is written as the JSON array
+    of its coefficient strings, _RECORD_CHUNK of them at a time.  Decimal
+    digits need no JSON escape, so with pieces that are JSON text the line
+    is byte for byte what ``json.dumps`` gives for the same record.
     """
     write = sys.stdout.write
     for piece in pieces:
@@ -75,7 +74,7 @@ def _write_record(pieces: Iterable[str | IntPoly]) -> None:
 
 
 def _factorization_pieces(record: FactorizationRecord) -> Iterator[str | IntPoly]:
-    # {**record.to_record(), "status": "ok"} for _write_record.
+    # {**record.to_record(), "status": "ok"} for _emit_record.
     yield (
         f'{{"kind":"factorization","target":{json.dumps(record.target_kind)},'
         f'"n":{record.n},"factors":['
@@ -94,13 +93,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
     poly = builder(args.n, _ROUTES[args.route])
     if args.format == "record":
         head = f'{{"kind":"poly","family":{json.dumps(args.family)},"n":{args.n},"coefficients":'
-        _write_record((head, poly, ',"status":"ok"}'))
+        _emit_record((head, poly, ',"status":"ok"}'))
     else:
-        # poly.to_text(), term by term.
-        terms = poly.text_terms()
-        sys.stdout.write(next(terms))
-        sys.stdout.writelines(" " + term for term in terms)
-        sys.stdout.write("\n")
+        _emit_record(poly.text_terms())
     return 0
 
 
@@ -109,12 +104,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         record = factor_mod.factor_zpread(args.n, _ROUTES[args.route])
     else:
         record = factor_mod.factor_lucas_minus2(args.n)
-    if args.format == "record":
-        _write_record(_factorization_pieces(record))
-    else:
-        # Piece by piece: the product: line alone is 26 MB at n = 9240.
-        sys.stdout.writelines(record.text_pieces())
-        sys.stdout.write("\n")
+    # Piece by piece: the product: line alone is 26 MB at n = 9240.
+    _emit_record(_factorization_pieces(record) if args.format == "record" else record.text_pieces())
     return 0
 
 
@@ -123,9 +114,9 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 
     table = fib.fib_factorization(args.n)
     if args.format == "record":
-        _emit_record({**table.to_record(), "status": "ok"})
+        _emit_record((json.dumps({**table.to_record(), "status": "ok"}, separators=(",", ":")),))
     else:
-        print(table.to_text())
+        _emit_record((table.to_text(),))
     return 0
 
 
@@ -141,9 +132,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify.run_verification(args.sweep)
     if args.format == "record":
         for suite in report.suites:
-            _emit_record(suite.to_record())
+            _emit_record((json.dumps(suite.to_record(), separators=(",", ":")),))
     else:
-        print(report.to_text())
+        _emit_record((report.to_text(),))
     return 0 if report.passed else 1
 
 
@@ -157,25 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
     show = sub.add_parser("show", help="print one polynomial of a family")
     show.add_argument("family", choices=sorted(_FAMILIES))
     show.add_argument("n", type=int)
-    show.add_argument("--format", choices=("text", "record"), default="text")
-    show.add_argument("--route", choices=("min", "fast"), default="min")
     show.set_defaults(func=_cmd_show)
 
     fac = sub.add_parser("factor", help="print a verified factorization")
     fac.add_argument("n", type=int)
     fac.add_argument("target", nargs="?", choices=("zpread", "lucas"), default="zpread")
-    fac.add_argument("--format", choices=("text", "record"), default="text")
-    fac.add_argument("--route", choices=("min", "fast"), default="min")
     fac.set_defaults(func=_cmd_factor)
 
     fibp = sub.add_parser("fib", help="print a Fibonacci primitive-part table")
     fibp.add_argument("n", type=int)
-    fibp.add_argument("--format", choices=("text", "record"), default="text")
     fibp.set_defaults(func=_cmd_fib)
 
     ver = sub.add_parser("verify", help="run every identity and property suite")
     ver.add_argument("--sweep", type=int, default=200)
-    ver.add_argument("--format", choices=("text", "record"), default="text")
     ver.add_argument(
         "--corrupt-phi",
         type=int,
@@ -185,6 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.set_defaults(func=_cmd_verify)
 
+    for command in (show, fac, fibp, ver):
+        command.add_argument("--format", choices=("text", "record"), default="text")
+    for command in (show, fac):
+        command.add_argument("--route", choices=tuple(_ROUTES), default="min")
     return parser
 
 
@@ -202,7 +191,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        sys.exit("error: cannot write output: stdout is closed")
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk on stdout
+        # Point fd 1 at devnull, so that the flush at exit cannot fail again
+        # (the "Note on SIGPIPE" in the signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -95,7 +95,11 @@ def env_int(name: str, default: int, minimum: int) -> int:
     raw = os.environ.get(name, "")
     if not raw:
         return default
-    # int() would also take "1_0", " 7 " and non-ASCII digits.
-    if raw.isascii() and raw.isdigit() and int(raw) >= minimum:
-        return int(raw)
+    # int() would also take "1_0", " 7 " and non-ASCII digits, and would
+    # refuse more digits than the interpreter's int/str conversion limit.
+    if raw.isascii() and raw.isdigit():
+        from .intpoly import _digits_to_int  # intpoly imports this module
+        value = _digits_to_int(raw)
+        if value >= minimum:
+            return value
     raise ConfigurationError(f"{name}={raw!r} is invalid: expected an integer >= {minimum}")

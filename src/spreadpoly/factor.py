@@ -318,9 +318,8 @@ class FactorizationRecord:
         yield f"{label}[{self.n}] = product of {len(self.factors)} factors"
         for f in self.factors:
             yield f"\n  d={f.d}  multiplicity={f.multiplicity}  {f.poly}"
-        yield "\nproduct:"
-        for term in self.product.text_terms():
-            yield " " + term
+        yield "\nproduct: "
+        yield from self.product.text_terms()
 
 
 def factor_zpread(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> FactorizationRecord:

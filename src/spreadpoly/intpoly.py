@@ -263,13 +263,13 @@ class IntPoly:
 
     def to_text(self) -> str:
         """Canonical text form, ascending degree: '9*x - 6*x^2 + x^3'."""
-        return " ".join(self.text_terms())
+        return "".join(self.text_terms())
 
     def text_terms(self) -> Iterator[str]:
-        """The space-separated pieces of ``to_text``, one per nonzero term.
+        """The pieces of ``to_text``, one per nonzero term, each after the first with its sign.
 
         >>> list(IntPoly((0, 9, -6, 1)).text_terms())
-        ['9*x', '- 6*x^2', '+ x^3']
+        ['9*x', ' - 6*x^2', ' + x^3']
         """
         if not self._coeffs:
             yield "0"
@@ -284,7 +284,7 @@ class IntPoly:
                 var = "x" if k == 1 else f"x^{k}"
                 term = var if mag == 1 else f"{int_to_digits(mag)}*{var}"
             yield (plus if c > 0 else minus) + term
-            plus, minus = "+ ", "- "
+            plus, minus = " + ", " - "
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients as decimal strings, so any size survives serialization."""

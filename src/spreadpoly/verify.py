@@ -295,14 +295,10 @@ def _suite_fibonacci_divisibility(n_max: int) -> Check:
 
 
 def _random_poly(rng: random.Random, max_degree: int, coeff_bound: int) -> IntPoly:
-    degree = rng.randint(-1, max_degree)
-    if degree < 0:
-        return ZERO
-    coeffs = rng.choices(range(-coeff_bound, coeff_bound + 1), k=degree)
-    lead = 0
-    while lead == 0:
-        lead = rng.randint(-coeff_bound, coeff_bound)
-    return IntPoly(coeffs + [lead])
+    coeffs = rng.choices(range(-coeff_bound, coeff_bound + 1), k=rng.randint(0, max_degree + 1))
+    while coeffs and coeffs[-1] == 0:
+        coeffs[-1] = rng.randint(-coeff_bound, coeff_bound)
+    return IntPoly(coeffs)
 
 
 def _suite_ring_axioms(n_max: int) -> Check:

@@ -1,6 +1,9 @@
 """CLI behavior: rendering, record stability, exit codes."""
 
+import contextlib
 import hashlib
+import inspect
+import io
 import json
 import os
 import subprocess
@@ -389,6 +392,10 @@ RECORD_DIGESTS = {
 # Only the text format prints a factorization's target, built on demand
 # from FactorizationRecord.product; show writes its text term by term.
 TEXT_DIGESTS = {
+    ("fib", "300", "--format", "text"):
+        "22c49b4c5fdd9c28373aa44047ced0682a930e200115a62a4f619e98d866b79d",
+    ("show", "phi", "863", "--format", "text"):
+        "ea656605c7b9924a81cf613fba448e889415a62be0e65861f6e05416dadf13ad",
     ("factor", "60", "--format", "text"):
         "20c3d105b32edb03a77f8734e8a8b02e6452a5974a3fbfd974e67185f885b976",
     ("factor", "60", "--format", "text", "--route", "fast"):
@@ -437,7 +444,7 @@ def test_show_writes_what_json_dumps_would(capsys):
                 }
                 assert run_cli(capsys, *argv, "--format", "record")[1] == dumps_line(record), argv
                 assert run_cli(capsys, *argv, "--format", "text")[1] == poly.to_text() + "\n", argv
-    cli_mod._write_record(("{", ZERO, "}"))
+    cli_mod._emit_record(("{", ZERO, "}"))
     assert capsys.readouterr().out == "{[]}\n"
 
 
@@ -452,17 +459,124 @@ def test_factor_writes_what_json_dumps_would(capsys):
         assert out == dumps_line({**record.to_record(), "status": "ok"}), n
 
 
-def run_subprocess(overrides, *argv):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SPREADPOLY_")}
+def emitted(monkeypatch, *argv):
+    """The exit code, the stdout and what each _emit_record call wrote, for one command."""
+    out, spans = io.StringIO(), []
+    emit = cli_mod._emit_record
+
+    def spy(pieces):
+        start = out.tell()
+        emit(pieces)
+        spans.append(out.getvalue()[start:])
+
+    with monkeypatch.context() as m, contextlib.redirect_stdout(out):
+        m.setattr(cli_mod, "_emit_record", spy)
+        code = main(list(argv))
+    return code, out.getvalue(), spans
+
+
+@pytest.mark.parametrize("fmt", ["record", "text"])
+def test_every_stdout_byte_is_written_by_emit_record(monkeypatch, fmt):
+    argvs = [
+        ("show", family, "12", "--route", route)
+        for family in cli_mod._FAMILIES
+        for route in cli_mod._ROUTES
+    ]
+    argvs += [("factor", "12", target) for target in ("zpread", "lucas")]
+    argvs += [("fib", "30"), ("verify", "--sweep", "5")]
+    for argv in argvs:
+        code, out, spans = emitted(monkeypatch, *argv, "--format", fmt)
+        assert code == 0 and out, argv
+        assert "".join(spans) == out, argv
+        if fmt == "record":
+            # One call per record line: verify writes one record per suite.
+            assert all(span.count("\n") == 1 and span.endswith("\n") for span in spans), argv
+            assert len(spans) == (len(verify.SUITES) if argv[0] == "verify" else 1), argv
+        else:
+            assert len(spans) == 1 and out.endswith("\n"), argv
+
+
+def test_format_and_route_are_declared_once():
+    source = inspect.getsource(cli_mod.build_parser)
+    assert source.count('"--format"') == source.count('"--route"') == 1
+    parser = cli_mod.build_parser()
+    for argv in (("show", "phi", "7"), ("factor", "7"), ("fib", "7"), ("verify",)):
+        args = parser.parse_args([*argv, "--format", "record"])
+        assert args.format == "record"
+        assert getattr(args, "route", None) == ("min" if argv[0] in ("show", "factor") else None)
+        if argv[0] in ("show", "factor"):
+            assert parser.parse_args([*argv, "--route", "fast"]).route == "fast"
+
+
+def cli_env(overrides):
+    # No SPREADPOLY_ knob, and stdout block-buffered as in a plain run, so
+    # that a short output fails to write only at the final flush.
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith("SPREADPOLY_") and k != "PYTHONUNBUFFERED"
+    }
     env["PYTHONPATH"] = str(SRC)
     env.update(overrides)
+    return env
+
+
+def run_subprocess(overrides, *argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "spreadpoly.cli", *argv],
-        env=env,
+        env=cli_env(overrides),
         capture_output=True,
         text=True,
         timeout=120,
+        **kwargs,
     )
+
+
+def assert_one_write_error(stderr):
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: cannot write output: ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+def test_closed_pipe_ends_in_one_error_line():
+    # The record is 6 MB, far past a pipe's buffer, so the writer is still
+    # writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spreadpoly.cli", "show", "zpread", "3000", "--format", "record"],
+        env=cli_env({}),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.read(50).startswith('{"kind":"poly"')
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 1
+    assert_one_write_error(stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("show", "zpread", "3000", "--format", "record"), ("fib", "12")])
+def test_full_device_ends_in_one_error_line(argv):
+    # fib 12 fits in the stdout buffer, so its write fails only at the flush.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spreadpoly.cli", *argv],
+            env=cli_env({}),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 1
+    assert_one_write_error(proc.stderr)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+def test_stdout_closed_at_start_ends_in_one_error_line():
+    proc = run_subprocess({}, "fib", "12", stdout=None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: stdout is closed\n"
 
 
 def test_import_reads_no_knob():
@@ -507,7 +621,18 @@ def test_env_int(monkeypatch):
     assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
     monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "7")
     assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 7
-    for bad in ("0", "1.5", "seven", "1_0", " 7 ", "\u0667"):
+    # Past the interpreter's limit on int/str conversion (4300 digits by
+    # default since 3.11; 640 below), a value of any length is read.
+    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "9" * 5000)
+    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 10**5000 - 1
+    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", str(10**700))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 10**700
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for bad in ("0", "0" * 5000, "1.5", "seven", "1_0", " 7 ", "\u0667"):
         monkeypatch.setenv("SPREADPOLY_TEST_KNOB", bad)
         with pytest.raises(ConfigurationError, match="SPREADPOLY_TEST_KNOB.*>= 1"):
             env_int("SPREADPOLY_TEST_KNOB", 5, 1)
