@@ -22,9 +22,9 @@ from typing import Iterable, Iterator
 
 from . import factor as factor_mod
 from . import sequences
-from .errors import OutOfBoundsError, SpreadPolyError, env_int
+from .errors import ConfigurationError, OutOfBoundsError, SpreadPolyError
 from .factor import FactorizationRecord, PhiRoute
-from .intpoly import IntPoly, int_to_digits
+from .intpoly import IntPoly, int_from_digits, int_to_digits
 
 DEFAULT_MAX_INDEX = 10_000
 # verify --sweep S runs six suites over every n <= S, in time growing about
@@ -138,8 +138,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    # The subparsers are made of this class too.  argparse calls print_help
+    # for --help alone, with no file; its own write would swallow an
+    # OSError, which through _emit_record reaches run().
+    def print_help(self, file=None) -> None:
+        _emit_record((self.format_help().removesuffix("\n"),))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreadpoly",
         description="Exact spread/zpread polynomial kernel: construct, factor, verify.",
     )
@@ -180,7 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        max_index = env_int("SPREADPOLY_MAX_INDEX", DEFAULT_MAX_INDEX, 1)
+        raw = os.environ.get("SPREADPOLY_MAX_INDEX", "")
+        max_index = DEFAULT_MAX_INDEX
+        if raw:
+            # ASCII digits only: int() would also take "+7", "1_0", " 7 " and "\u0667".
+            max_index = int_from_digits(raw) if raw.isascii() and raw.isdigit() else 0
+            if max_index < 1:
+                raise ConfigurationError(f"SPREADPOLY_MAX_INDEX={raw!r} is invalid: expected an integer >= 1")
         # show, factor and fib take an index n; verify takes a sweep.
         if getattr(args, "n", 0) > max_index:
             raise OutOfBoundsError(f"index {args.n} exceeds the configured maximum {max_index}")
@@ -194,8 +208,10 @@ def run() -> None:
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
         sys.exit("error: cannot write output: stdout is closed")
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:  # also after argparse's SystemExit, from --help or a usage error
+            sys.stdout.flush()
     except OSError as exc:  # a closed pipe or a full disk on stdout
         # Point fd 1 at devnull, so that the flush at exit cannot fail again
         # (the "Note on SIGPIPE" in the signal module's documentation).

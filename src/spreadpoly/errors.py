@@ -8,7 +8,7 @@ SpreadPolyError so callers can catch the whole family at once.
 
 from __future__ import annotations
 
-import os
+from decimal import Decimal
 
 
 class SpreadPolyError(Exception):
@@ -71,10 +71,10 @@ class IdentityFailureError(SpreadPolyError):
     """An exact identity check failed; carries both evaluated sides."""
 
     def __init__(self, message, left, right):
-        from .intpoly import int_to_digits  # intpoly imports this module
         self.left = left
         self.right = right
-        super().__init__(f"{message}: {int_to_digits(left)} != {int_to_digits(right)}")
+        # str(Decimal(i)) is str(i), also past the int/str digit limit.
+        super().__init__(f"{message}: {Decimal(left)} != {Decimal(right)}")
 
 
 class OutOfBoundsError(SpreadPolyError, ValueError):
@@ -84,22 +84,3 @@ class OutOfBoundsError(SpreadPolyError, ValueError):
 class ConfigurationError(SpreadPolyError):
     """A ``SPREADPOLY_*`` environment variable is malformed or out of range."""
 
-
-def env_int(name: str, default: int, minimum: int) -> int:
-    """The integer in environment variable ``name``, or ``default`` when unset or empty.
-
-    Raises ConfigurationError naming the variable, its value and the allowed
-    range when the value is not a string of decimal digits 0-9 or is below
-    ``minimum``.
-    """
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    # int() would also take "1_0", " 7 " and non-ASCII digits, and would
-    # refuse more digits than the interpreter's int/str conversion limit.
-    if raw.isascii() and raw.isdigit():
-        from .intpoly import _digits_to_int  # intpoly imports this module
-        value = _digits_to_int(raw)
-        if value >= minimum:
-            return value
-    raise ConfigurationError(f"{name}={raw!r} is invalid: expected an integer >= {minimum}")

@@ -380,24 +380,33 @@ class FloatRootCheck:
 def float_root_check(n: int, tol: float) -> FloatRootCheck:
     """Evaluate phi_n at 4*sin^2(k*pi/n) for every k coprime to n, k < n/2.
 
-    The residual bound is tol * (1 + sum of |coefficients|), so the check
-    stays meaningful as coefficients grow.  Raises ToleranceExceededError
-    with the offending root index on failure.
+    The residual at x may be tol * sum |c_k| x^k, the scale of the rounding
+    in Horner's rule at x, so the check stays meaningful as coefficients
+    grow; ``bound`` is the largest of these.  Raises ToleranceExceededError
+    with the offending root index on failure, and OutOfBoundsError when the
+    evaluation leaves float range.
     """
     if n < 3:
         raise OutOfBoundsError("root check needs n >= 3")
     if not (math.isfinite(tol) and tol > 0):
         raise OutOfBoundsError("tolerance must be finite and positive")
     p = phi_min(n)
-    bound = tol * (1 + sum(abs(c) for c in p.coeffs))
-    worst = 0.0
+    magnitude = IntPoly(map(abs, p.coeffs))
+    worst = bound = 0.0
     checked = 0
     for k in range(1, (n + 1) // 2):
         if math.gcd(k, n) != 1:
             continue
-        residual = abs(p(4.0 * math.sin(math.pi * k / n) ** 2))
-        if residual > bound:
-            raise ToleranceExceededError(n, k, residual, bound)
+        x = 4.0 * math.sin(math.pi * k / n) ** 2
+        try:
+            residual, allowed = abs(p(x)), tol * magnitude(x)
+        except OverflowError:  # a coefficient past the largest float
+            residual = allowed = math.inf
+        if not (math.isfinite(residual) and math.isfinite(allowed)):
+            raise OutOfBoundsError(f"phi_{n} at root k={k} is beyond float range")
+        if residual > allowed:
+            raise ToleranceExceededError(n, k, residual, allowed)
         worst = max(worst, residual)
+        bound = max(bound, allowed)
         checked += 1
     return FloatRootCheck(n, tol, checked, worst, bound)

@@ -1,5 +1,6 @@
 """CLI behavior: rendering, record stability, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -15,10 +16,10 @@ import pytest
 import spreadpoly.cli as cli_mod
 import spreadpoly.factor as factor_mod
 import spreadpoly.fib as fib_mod
-from spreadpoly import ConfigurationError, IntPoly, X, ZERO, spread, verify
+from spreadpoly import IntPoly, X, ZERO, spread, verify
 from spreadpoly import sequences
 from spreadpoly.cli import MAX_SWEEP, main
-from spreadpoly.errors import OutOfBoundsError, SpreadPolyError, env_int
+from spreadpoly.errors import OutOfBoundsError, SpreadPolyError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -471,7 +472,10 @@ def emitted(monkeypatch, *argv):
 
     with monkeypatch.context() as m, contextlib.redirect_stdout(out):
         m.setattr(cli_mod, "_emit_record", spy)
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's, after --help
+            code = exc.code
     return code, out.getvalue(), spans
 
 
@@ -494,6 +498,16 @@ def test_every_stdout_byte_is_written_by_emit_record(monkeypatch, fmt):
             assert len(spans) == (len(verify.SUITES) if argv[0] == "verify" else 1), argv
         else:
             assert len(spans) == 1 and out.endswith("\n"), argv
+
+
+@pytest.mark.parametrize("argv", [(), ("show",), ("factor",), ("fib",), ("verify",)])
+def test_help_is_argparses_text_written_by_emit_record(monkeypatch, argv):
+    code, out, spans = emitted(monkeypatch, *argv, "--help")
+    assert code == 0 and out.startswith("usage: spreadpoly")
+    assert spans == [out]
+    # The same bytes as argparse's own help writer.
+    monkeypatch.setattr(cli_mod._Parser, "print_help", argparse.ArgumentParser.print_help)
+    assert emitted(monkeypatch, *argv, "--help") == (0, out, [])
 
 
 def test_format_and_route_are_declared_once():
@@ -521,11 +535,12 @@ def cli_env(overrides):
     return env
 
 
-def run_subprocess(overrides, *argv, **kwargs):
+def run_subprocess(overrides, *argv, stdout=subprocess.PIPE, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "spreadpoly.cli", *argv],
         env=cli_env(overrides),
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
         **kwargs,
@@ -555,26 +570,42 @@ def test_closed_pipe_ends_in_one_error_line():
     assert_one_write_error(stderr)
 
 
+HELP_ARGVS = [("--help",), ("show", "--help")]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [("show", "zpread", "3000", "--format", "record"), ("fib", "12")])
+@pytest.mark.parametrize("argv", [("show", "zpread", "3000", "--format", "record"), ("fib", "12"), *HELP_ARGVS])
 def test_full_device_ends_in_one_error_line(argv):
-    # fib 12 fits in the stdout buffer, so its write fails only at the flush.
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "spreadpoly.cli", *argv],
-            env=cli_env({}),
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            timeout=120,
-        )
-    assert proc.returncode == 1
-    assert_one_write_error(proc.stderr)
+    # Block-buffered, fib 12 and the help text fit in the stdout buffer, so
+    # their write fails only at the flush, for --help the one after
+    # argparse's SystemExit(0); unbuffered, the write itself fails, and
+    # argparse's own help writer would swallow that.
+    for overrides in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            proc = run_subprocess(overrides, *argv, stdout=full)
+        assert proc.returncode == 1, overrides
+        assert_one_write_error(proc.stderr)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe with no reader")
+@pytest.mark.parametrize("argv", HELP_ARGVS)
+def test_help_into_a_closed_pipe_ends_in_one_error_line(argv):
+    # The reader is gone before the child starts, so the short help text
+    # cannot slip into the pipe's buffer first.
+    for overrides in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_subprocess(overrides, *argv, stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1, overrides
+        assert_one_write_error(proc.stderr)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
 def test_stdout_closed_at_start_ends_in_one_error_line():
-    proc = run_subprocess({}, "fib", "12", stdout=None, preexec_fn=lambda: os.close(1))
+    proc = run_subprocess({}, "fib", "12", preexec_fn=lambda: os.close(1))
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: stdout is closed\n"
 
@@ -614,28 +645,29 @@ def test_good_knobs_are_applied():
     assert proc.stdout.strip() == "-7 + 14*x - 7*x^2 + x^3"
 
 
-def test_env_int(monkeypatch):
-    monkeypatch.delenv("SPREADPOLY_TEST_KNOB", raising=False)
-    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
-    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "")
-    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 5
-    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "7")
-    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 7
+def test_max_index_is_parsed_by_main(capsys, monkeypatch):
+    def fib_12(value):
+        monkeypatch.setenv("SPREADPOLY_MAX_INDEX", value)
+        return run_cli(capsys, "fib", "12", "--format", "record")
+
+    monkeypatch.delenv("SPREADPOLY_MAX_INDEX", raising=False)
+    accepted = run_cli(capsys, "fib", "12", "--format", "record")
+    assert accepted[0] == 0 and accepted[1]
+    for value in ("", "12", "9" * 5000):
+        assert fib_12(value) == accepted, value[:20]
     # Past the interpreter's limit on int/str conversion (4300 digits by
     # default since 3.11; 640 below), a value of any length is read.
-    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", "9" * 5000)
-    assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 10**5000 - 1
-    monkeypatch.setenv("SPREADPOLY_TEST_KNOB", str(10**700))
+    value = str(10**700)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert env_int("SPREADPOLY_TEST_KNOB", 5, 1) == 10**700
+        assert fib_12(value) == accepted
     finally:
         sys.set_int_max_str_digits(limit)
     for bad in ("0", "0" * 5000, "1.5", "seven", "1_0", " 7 ", "\u0667"):
-        monkeypatch.setenv("SPREADPOLY_TEST_KNOB", bad)
-        with pytest.raises(ConfigurationError, match="SPREADPOLY_TEST_KNOB.*>= 1"):
-            env_int("SPREADPOLY_TEST_KNOB", 5, 1)
+        line = f"error: SPREADPOLY_MAX_INDEX={bad!r} is invalid: expected an integer >= 1\n"
+        assert fib_12(bad) == (1, "", line), bad[:20]
+    assert fib_12("11") == (1, "", "error: index 12 exceeds the configured maximum 11\n")
 
 
 def test_show_spread_beyond_the_digit_limit(capsys):

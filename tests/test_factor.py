@@ -32,7 +32,7 @@ from spreadpoly import (
     totient,
     zpread,
 )
-from spreadpoly.errors import NotDivisibleError
+from spreadpoly.errors import NotDivisibleError, OutOfBoundsError
 from spreadpoly.intpoly import product
 from spreadpoly.sequences import CACHE
 
@@ -518,6 +518,26 @@ def test_float_root_check_examples():
     fifty = float_root_check(50, 1e-6)
     assert fifty.roots_checked == totient(50) // 2
     assert fifty.max_residual <= fifty.bound
+
+
+def test_float_root_check_scales_with_each_root():
+    # A bound of tol * (1 + sum |c_k|), blind to x^k, refused the correct
+    # phi_53 at k = 21 (residual 1.248e+02 against 1.192e+02).
+    for n in (53, 500, 1500):
+        result = float_root_check(n, 1e-9)
+        assert result.roots_checked == totient(n) // 2
+        assert result.max_residual <= result.bound
+
+
+def test_float_root_check_refuses_float_overflow(monkeypatch):
+    # phi_2003 has coefficients past the largest float.
+    with pytest.raises(OutOfBoundsError, match=r"^phi_2003 at root k=1 is beyond float range$"):
+        float_root_check(2003, 1e-9)
+    # 10^308 * x is finite at x = 4 sin^2(pi/7) = 0.75 and infinite at
+    # 4 sin^2(2 pi/7) = 2.45; tol = 1 admits every finite residual.
+    monkeypatch.setattr(factor_mod, "phi_min", lambda n: IntPoly((0, 10**308)))
+    with pytest.raises(OutOfBoundsError, match=r"^phi_7 at root k=2 is beyond float range$"):
+        float_root_check(7, 1.0)
 
 
 def test_float_root_check_guard():

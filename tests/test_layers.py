@@ -1,10 +1,12 @@
-"""Which layers each command loads, and the package's public names.
+"""The layers each module imports and each command loads, and the package's public names.
 
-``import spreadpoly`` loads intpoly, sequences and factor; fib and verify
-load on first use.  The import-graph tests run in a fresh interpreter,
-since this one has already imported every module.
+Each module imports only from the layers below it.  ``import spreadpoly``
+loads intpoly, sequences and factor; fib and verify load on first use.
+The import-graph tests run in a fresh interpreter, since this one has
+already imported every module.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,6 +19,54 @@ from spreadpoly import errors, factor, fib, intpoly, sequences, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ON_FIRST_USE = ("spreadpoly.fib", "spreadpoly.verify", "fractions")
+
+# errors <- intpoly <- sequences <- {factor, fib} <- verify <- {cli, the package}
+LAYERS = {
+    "errors": 0,
+    "intpoly": 1,
+    "sequences": 2,
+    "factor": 3,
+    "fib": 3,
+    "verify": 4,
+    "cli": 5,
+    "__init__": 5,
+}
+# fib's unused phi_min import, which perfbench's selftest wraps.
+PEER_IMPORTS = {("fib", "factor")}
+
+
+def imported_modules(path):
+    """The spreadpoly modules that a source file imports, also inside functions."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("spreadpoly" if node.level else "", node.module)))
+            # "from . import factor" imports the modules it names; "from .errors
+            # import X" imports errors.
+            names = [f"{module}.{alias.name}" for alias in node.names] if module == "spreadpoly" else [module]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "spreadpoly":
+                yield parts[1] if len(parts) > 1 else "__init__"
+
+
+def test_each_module_imports_only_from_the_layers_below_it():
+    paths = sorted((SRC / "spreadpoly").glob("*.py"))
+    assert {path.stem for path in paths} == set(LAYERS)
+    for path in paths:
+        for target in imported_modules(path):
+            assert (
+                LAYERS[target] < LAYERS[path.stem] or (path.stem, target) in PEER_IMPORTS
+            ), f"{path.stem} imports {target}"
+
+
+def test_the_layer_scan_sees_imports_inside_functions():
+    # cli imports fib and verify inside the commands that run them.
+    assert {"fib", "verify"} <= set(imported_modules(SRC / "spreadpoly" / "cli.py"))
+    assert set(imported_modules(SRC / "spreadpoly" / "errors.py")) == set()
 
 
 def loaded_after(*argv):

@@ -43,6 +43,14 @@ def test_integer_root_of_phi_is_caught(monkeypatch):
     assert (result.passed, result.checks, result.first_failure) == (False, 2, "n=7")
 
 
+def test_float_roots_suite_catches_a_wrong_phi(monkeypatch):
+    real = factor_mod.phi_min
+    monkeypatch.setattr(factor_mod, "phi_min", lambda n: real(n) + 1 if n == 7 else real(n))
+    result = run_suite("phi-float-roots", sweep=30)
+    assert (result.passed, result.checks) == (False, 5)
+    assert result.first_failure.startswith("residual at root k=1 of index n=7 is 1.000e+00")
+
+
 def test_mul_path_equivalence_catches_a_kronecker_fault(monkeypatch):
     real = intpoly_mod._mul_kronecker
 
