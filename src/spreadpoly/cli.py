@@ -18,12 +18,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable
 
 from . import factor as factor_mod
 from . import sequences
 from .errors import ConfigurationError, OutOfBoundsError, SpreadPolyError
-from .factor import FactorizationRecord, PhiRoute
+from .factor import PhiRoute
 from .intpoly import IntPoly, int_from_digits, int_to_digits
 
 DEFAULT_MAX_INDEX = 10_000
@@ -73,19 +74,6 @@ def _emit_record(pieces: Iterable[str | IntPoly]) -> None:
     write("\n")
 
 
-def _factorization_pieces(record: FactorizationRecord) -> Iterator[str | IntPoly]:
-    # {**record.to_record(), "status": "ok"} for _emit_record.
-    yield (
-        f'{{"kind":"factorization","target":{json.dumps(record.target_kind)},'
-        f'"n":{record.n},"factors":['
-    )
-    for i, f in enumerate(record.factors):
-        yield f'{"," if i else ""}{{"d":{f.d},"multiplicity":{f.multiplicity},"coefficients":'
-        yield f.poly
-        yield "}"
-    yield '],"status":"ok"}'
-
-
 def _cmd_show(args: argparse.Namespace) -> int:
     builder, min_index = _FAMILIES[args.family]
     if args.n < min_index:
@@ -105,7 +93,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     else:
         record = factor_mod.factor_lucas_minus2(args.n)
     # Piece by piece: the product: line alone is 26 MB at n = 9240.
-    _emit_record(_factorization_pieces(record) if args.format == "record" else record.text_pieces())
+    record_line = chain(record.record_pieces(), (',"status":"ok"}',))
+    _emit_record(record_line if args.format == "record" else record.text_pieces())
     return 0
 
 

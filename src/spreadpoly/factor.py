@@ -207,9 +207,9 @@ _CORRUPTED_PHI: contextvars.ContextVar[int | None] = contextvars.ContextVar(
 def cross_check_phi(n: int) -> IntPoly:
     """Compute phi_n on the reference and the composition route and demand exact agreement.
 
-    The composition route builds an odd n by the odd-index route and a power
-    of two by its closed form, so the candidate carries the label
-    ``applicable_routes(n)[1]``.  Returns the reference polynomial; raises
+    The candidate carries the label ``applicable_routes(n)[1]``: odd_lucas
+    at every odd n, power_of_two at a power of two, composition otherwise.
+    Returns the reference polynomial; raises
     RouteMismatchError carrying both polynomials if they differ.
     """
     reference = phi_min(n)
@@ -308,16 +308,26 @@ class FactorizationRecord:
             "factors": [f.to_record() for f in self.factors],
         }
 
+    def record_pieces(self) -> Iterator[str | IntPoly]:
+        """The compact JSON of ``to_record`` in pieces, polynomials as IntPoly, the object left open."""
+        yield f'{{"kind":"factorization","target":"{self.target_kind}","n":{self.n},"factors":['
+        for i, f in enumerate(self.factors):
+            yield f'{"," if i else ""}{{"d":{f.d},"multiplicity":{f.multiplicity},"coefficients":'
+            yield f.poly
+            yield "}"
+        yield "]"
+
     def text_pieces(self) -> Iterator[str]:
-        """The text format in pieces: line by line, and the product: line term by term.
+        """The text format in pieces: each line's head, then its polynomial term by term.
 
         The product: line spells out the whole target, 26 MB at n = 9240,
-        so a writer never needs it as one string.
+        so a writer never needs a line as one string.
         """
         label = "Z" if self.target_kind == "zpread" else "L-2"
         yield f"{label}[{self.n}] = product of {len(self.factors)} factors"
         for f in self.factors:
-            yield f"\n  d={f.d}  multiplicity={f.multiplicity}  {f.poly}"
+            yield f"\n  d={f.d}  multiplicity={f.multiplicity}  "
+            yield from f.poly.text_terms()
         yield "\nproduct: "
         yield from self.product.text_terms()
 
@@ -383,8 +393,8 @@ def float_root_check(n: int, tol: float) -> FloatRootCheck:
     The residual at x may be tol * sum |c_k| x^k, the scale of the rounding
     in Horner's rule at x, so the check stays meaningful as coefficients
     grow; ``bound`` is the largest of these.  Raises ToleranceExceededError
-    with the offending root index on failure, and OutOfBoundsError when the
-    evaluation leaves float range.
+    with the offending root index on failure, and OutOfBoundsError up front
+    when M = sum |c_k| 4^k, above every Horner sum at a root, or tol*M overflows.
     """
     if n < 3:
         raise OutOfBoundsError("root check needs n >= 3")
@@ -392,18 +402,16 @@ def float_root_check(n: int, tol: float) -> FloatRootCheck:
         raise OutOfBoundsError("tolerance must be finite and positive")
     p = phi_min(n)
     magnitude = IntPoly(map(abs, p.coeffs))
+    m = magnitude(4)
+    if m.bit_length() > 1023 or not math.isfinite(tol * m):
+        raise OutOfBoundsError(f"phi_{n} is beyond float range at its roots")
     worst = bound = 0.0
     checked = 0
     for k in range(1, (n + 1) // 2):
         if math.gcd(k, n) != 1:
             continue
         x = 4.0 * math.sin(math.pi * k / n) ** 2
-        try:
-            residual, allowed = abs(p(x)), tol * magnitude(x)
-        except OverflowError:  # a coefficient past the largest float
-            residual = allowed = math.inf
-        if not (math.isfinite(residual) and math.isfinite(allowed)):
-            raise OutOfBoundsError(f"phi_{n} at root k={k} is beyond float range")
+        residual, allowed = abs(p(x)), tol * magnitude(x)
         if residual > allowed:
             raise ToleranceExceededError(n, k, residual, allowed)
         worst = max(worst, residual)

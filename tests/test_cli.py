@@ -460,14 +460,17 @@ def test_factor_writes_what_json_dumps_would(capsys):
         assert out == dumps_line({**record.to_record(), "status": "ok"}), n
 
 
-def emitted(monkeypatch, *argv):
-    """The exit code, the stdout and what each _emit_record call wrote, for one command."""
+def emitted(monkeypatch, *argv, pieces=None):
+    """The exit code, the stdout and what each _emit_record call wrote, for one command.
+
+    Every piece handed to _emit_record is appended to ``pieces``, if given.
+    """
     out, spans = io.StringIO(), []
     emit = cli_mod._emit_record
 
-    def spy(pieces):
+    def spy(given):
         start = out.tell()
-        emit(pieces)
+        emit(given if pieces is None else (pieces.append(p) or p for p in given))
         spans.append(out.getvalue()[start:])
 
     with monkeypatch.context() as m, contextlib.redirect_stdout(out):
@@ -498,6 +501,29 @@ def test_every_stdout_byte_is_written_by_emit_record(monkeypatch, fmt):
             assert len(spans) == (len(verify.SUITES) if argv[0] == "verify" else 1), argv
         else:
             assert len(spans) == 1 and out.endswith("\n"), argv
+
+
+def test_factor_streams_each_factor_line_term_by_term(monkeypatch):
+    argv = ("factor", "997", "--route", "fast")
+    record = factor_mod.factor_zpread(997, factor_mod.PhiRoute.COMPOSITION)
+    polys = [f.poly for f in record.factors] + [record.product]
+    widest_term = max(len(term) for poly in polys for term in poly.text_terms())
+    pieces = []
+    code, out, _ = emitted(monkeypatch, *argv, "--format", "text", pieces=pieces)
+    assert code == 0 and "".join(pieces) + "\n" == out
+    assert max(map(len, pieces)) <= widest_term + len("\n  d=997  multiplicity=1  ")
+    # The record hands each factor's polynomial to the writer whole, as an IntPoly.
+    pieces.clear()
+    assert emitted(monkeypatch, *argv, "--format", "record", pieces=pieces)[0] == 0
+    assert [p for p in pieces if isinstance(p, IntPoly)] == polys[:-1]
+
+
+def test_cli_names_no_factorization_field():
+    # FactorizationRecord lays out both formats; cli.py only writes them.
+    source = inspect.getsource(cli_mod)
+    for field in ('"factors"', '"multiplicity"', '"target":', '"factorization"'):
+        assert field not in source, field
+    assert not hasattr(cli_mod, "_factorization_pieces")
 
 
 @pytest.mark.parametrize("argv", [(), ("show",), ("factor",), ("fib",), ("verify",)])

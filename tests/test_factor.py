@@ -1,5 +1,7 @@
 """Factor engine tests: minimal polynomials, routes, verified factorizations."""
 
+import json
+import math
 import random
 import tracemalloc
 
@@ -398,6 +400,18 @@ def test_factorization_record_rendering():
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 12, 997, 1260])
+def test_record_pieces_lay_out_to_record(n):
+    # The pieces with each IntPoly as its coefficient strings, closed by
+    # "}", are the compact JSON of to_record on both targets and routes.
+    records = [factor_zpread(n, route) for route in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION)]
+    for record in (*records, factor_lucas_minus2(n)):
+        pieces = list(record.record_pieces())
+        assert [p for p in pieces if isinstance(p, IntPoly)] == [f.poly for f in record.factors]
+        text = "".join(p if isinstance(p, str) else json.dumps(p.coefficient_strings()) for p in pieces)
+        assert text.endswith("]") and json.loads(text + "}") == record.to_record(), record.target_kind
+
+
 def test_factor_zpread_detects_product_mismatch(monkeypatch):
     # Both targets' values at 5 and -3 come from lucas_value; one unit off
     # must fail the check.
@@ -531,13 +545,33 @@ def test_float_root_check_scales_with_each_root():
 
 def test_float_root_check_refuses_float_overflow(monkeypatch):
     # phi_2003 has coefficients past the largest float.
-    with pytest.raises(OutOfBoundsError, match=r"^phi_2003 at root k=1 is beyond float range$"):
+    with pytest.raises(OutOfBoundsError, match=r"^phi_2003 is beyond float range at its roots$"):
         float_root_check(2003, 1e-9)
-    # 10^308 * x is finite at x = 4 sin^2(pi/7) = 0.75 and infinite at
-    # 4 sin^2(2 pi/7) = 2.45; tol = 1 admits every finite residual.
+    # 10^308 * x is finite at the root 4 sin^2(pi/7) = 0.75, but its
+    # sum |c_k| 4^k = 4 * 10^308 is past float range.
     monkeypatch.setattr(factor_mod, "phi_min", lambda n: IntPoly((0, 10**308)))
-    with pytest.raises(OutOfBoundsError, match=r"^phi_7 at root k=2 is beyond float range$"):
+    with pytest.raises(OutOfBoundsError, match=r"^phi_7 is beyond float range at its roots$"):
         float_root_check(7, 1.0)
+
+
+def test_float_root_check_refuses_before_any_root(monkeypatch):
+    # sum |c_k| 4^k bounds every Horner sum at a root below 4, so an index
+    # is refused before the first evaluation or not at all; 809 is the first.
+    assert float_root_check(808, 1e-9).roots_checked == totient(808) // 2
+    sin, evaluated, refused = math.sin, [], []
+    monkeypatch.setattr(math, "sin", lambda t: evaluated.append(t) or sin(t))
+    for n in range(790, 840):
+        evaluated.clear()
+        try:
+            float_root_check(n, 1e-9)
+        except OutOfBoundsError as exc:
+            assert str(exc) == f"phi_{n} is beyond float range at its roots"
+            assert evaluated == [], n
+            refused.append(n)
+    assert refused == [809, 811, 821, 823, 827, 829, 839]
+    # tol * M past float range is refused too, where M itself is finite.
+    with pytest.raises(OutOfBoundsError, match=r"^phi_5 is beyond float range at its roots$"):
+        float_root_check(5, 1e308)
 
 
 def test_float_root_check_guard():
