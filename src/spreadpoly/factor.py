@@ -3,14 +3,15 @@
 For index n the factor attached to divisor d is built from the minimal
 polynomial phi_d of 4*sin^2(pi/d).  The reference route folds the
 cyclotomic polynomial into the Lucas basis and reflects it through 2 - x;
-while phi_d packs into the binary Kronecker size, it does both in one
-Clenshaw pass on a packed integer.  The
-composition route writes phi_b in the zpread basis, where Z_k(Z_c) = Z_kc
-makes phi_b(Z_c) a weighted sum of closed-form Z_kc.  For q the largest
-odd prime of n and b = n/q, phi_b(Z_q) is phi_n when q | b and
-phi_n * phi_b otherwise, so the route multiplies no polynomials and reads
-cyclotomic(b) only at b < n, where the reference reads cyclotomic(n).  The
-agreement of the two routes is the kernel's primary bug detector.
+while phi_d packs into the binary Kronecker size, one Clenshaw pass on a
+packed integer does both, and while phi_d^2 does, Phi_d is squared from
+that integer's values at +-2^s.  The composition route writes phi_b in
+the zpread basis, where Z_k(Z_c) = Z_kc makes phi_b(Z_c) a weighted sum
+of closed-form Z_kc.  For q the largest odd prime of n and b = n/q,
+phi_b(Z_q) is phi_n when q | b and phi_n * phi_b otherwise, so the route
+multiplies no polynomials and reads cyclotomic(b) only at b < n, where
+the reference reads cyclotomic(n).  The agreement of the two routes is
+the kernel's primary bug detector.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-from .intpoly import IntPoly, X, _binary_slot_bytes, _binary_unpack, div_exact, palindrome_fold
+from .intpoly import IntPoly, X, _binary_slot_bytes, _binary_unpack, _two_point_unpack
+from .intpoly import div_exact, palindrome_fold
 from .sequences import (
     CACHE,
     _factorize,
@@ -74,32 +76,34 @@ def phi_min(n: int) -> IntPoly:
     """Minimal polynomial of 4*sin^2(pi/n); the reference route.
 
     psi_n(2 - x) with the monic sign restored.  For n >= 3 and c the m + 1
-    folded weights of Phi_n, phi_n = +-(c_0 + sum c_k * (2 - Z_k)), as
-    L_k(2 - x) = 2 - Z_k(x).  The signs of Z_k alternate, so its absolute
-    coefficients sum to L_k(3) - 2 and no coefficient of phi_n exceeds
-    B = sum |c_k| * L_m(3).  In slots of nb bytes, 256^nb > 2B, the
-    Clenshaw sum of psi_n at the integer y = 2 - 256^nb is +-phi_n(256^nb),
-    one slot per coefficient, and no psi_n is built.  Where the slots
-    outgrow the binary Kronecker size, and at psi_1 = x - 2 and
-    psi_2 = x + 2, psi_n is reflected through 2 - x instead.
+    folded weights of Phi_n, phi_n = +-(c_0 + sum c_k * (2 - Z_k)); Z_k's absolute
+    coefficients sum to L_k(3) - 2, so no coefficient of phi_n exceeds B = sum |c_k| * L_m(3).
+    In s-bit slots, 2^s > 2B, psi_n's Clenshaw sum at y = 2 - 2^s is +-phi_n(2^s); past
+    the binary size, and at n < 3, psi_n is reflected through 2 - x instead.
 
     >>> str(phi_min(7))
     '-7 + 14*x - 7*x^2 + x^3'
     """
     if n >= 3:
-        c = palindrome_fold(cyclotomic(n))
-        m = len(c) - 1
-        nb = _binary_slot_bytes(sum(map(abs, c)) * lucas_value(m, 3), m + 1)
+        c, bound = _folded_weights(n)
+        nb = _binary_slot_bytes(bound, len(c))
         if nb:
-            # psi's Clenshaw recurrence at y = 2 - 2^s, where y*b is
-            # 2*b - (b << s); the sum is psi_n(2 - 2^s), so +-phi_n(2^s).
-            s = 8 * nb
-            b1 = b2 = 0
-            for k in range(m, 0, -1):
-                b1, b2 = (b1 << 1) - b2 - (b1 << s) + c[k], b1
-            value = (b1 << 1) - (b2 << 1) - (b1 << s) + c[0]
-            return _monic(IntPoly(_binary_unpack(value, nb, m + 1)))
+            return _monic(IntPoly(_binary_unpack(_packed_clenshaw(c, 8 * nb), nb, len(c))))
     return _monic(psi(n).compose(IntPoly((2, -1))))
+
+
+def _folded_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """The folded weights c of Phi_n, n >= 3, and phi_min's bound B on phi_n's coefficients."""
+    c = palindrome_fold(cyclotomic(n))
+    return c, sum(map(abs, c)) * lucas_value(len(c) - 1, 3)
+
+
+def _packed_clenshaw(c: tuple[int, ...], s: int) -> int:
+    """psi's Clenshaw sum over the folded weights c at y = 2 - 2^s, where y*b = 2*b - (b << s)."""
+    b1 = b2 = 0
+    for k in range(len(c) - 1, 0, -1):
+        b1, b2 = (b1 << 1) - b2 - (b1 << s) + c[k], b1
+    return (b1 << 1) - (b2 << 1) - (b1 << s) + c[0]
 
 
 def _monic(p: IntPoly) -> IntPoly:
@@ -252,6 +256,9 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
 
 
 def _capital_phi(n: int, route: PhiRoute) -> IntPoly:
+    """phi_n^2; while it packs, the reference route squares V = +-phi_n(2^s), 2^s > 2B, and
+    W = +-phi_n(-2^s) = V - 2 * (((V + H) & ODD) - (H & ODD)), H = 2^(s-1) in every slot.
+    """
     if n == 1:
         return X
     if n == 2:
@@ -259,6 +266,16 @@ def _capital_phi(n: int, route: PhiRoute) -> IntPoly:
     if route is PhiRoute.COMPOSITION and _factorize(n) == [(n, 1)]:
         # Z_p = Phi_1 * Phi_p = x * Phi_p at a prime p.
         return IntPoly(zpread(n).coeffs[1:])
+    if route is PhiRoute.MINIMAL_POLY:
+        c, bound = _folded_weights(n)
+        nb = _binary_slot_bytes(2 * len(c) * bound * bound, 2 * len(c) - 1)
+        if nb:
+            nb += nb & 1
+            v = _packed_clenshaw(c, 4 * nb)
+            h = int.from_bytes((bytes(nb // 2 - 1) + b"\x80") * len(c), "little")
+            odd = int.from_bytes((bytes(nb // 2) + b"\xff" * (nb // 2)) * len(c), "little")
+            w = v - 2 * (((v + h) & odd) - (h & odd))
+            return IntPoly(_two_point_unpack(v * v, w * w, nb, 2 * len(c) - 1))
     phi = _ROUTE_BUILDERS[route](n)
     return phi * phi
 

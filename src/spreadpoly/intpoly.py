@@ -23,7 +23,7 @@ from their sum and difference.  This module alone sizes the packed
 slots and picks the radix.  Both radices share one slot format, written by
 ``_to_slots`` and read back by ``_from_slots``, which refuses a borrow left
 past the top slot; each radix's reader refuses a value wider than its
-slots.  ``factor.phi_min``'s packed Clenshaw value is read the same way.
+slots.  ``factor``'s packed Clenshaw values are read the same way.
 ``mul_schoolbook``, the dense quadratic loop, is the reference the paths
 are checked against, and ``mul_karatsuba`` is another name for the
 kernel's product.
@@ -68,10 +68,10 @@ _MUL_THRESHOLD = 32
 #    200 x 1000 bits   98.2 KiB    10.7 against 9.3
 # So the binary radix wins past 32 KiB, up to somewhere between 40 and
 # 98 KiB; the squares of factor n up to 1260 reach 25.8 KiB.  The cutoff
-# stays at 32 KiB because factor.phi_min reads the same rule to choose its
-# packed Clenshaw: it runs psi's Clenshaw sum on one int holding phi_n in
-# slots when they fit, and reflects the list-built psi_n when not.  Packed
-# against reflected, from a cached cyclotomic(n), same setup:
+# stays at 32 KiB because factor reads the same rule to choose its packed
+# Clenshaw sums for phi_n and phi_n^2, and reflects the list-built psi_n
+# and squares it when they do not fit.  Packed against reflected phi_n,
+# from a cached cyclotomic(n), same setup:
 #    n = 1260   m = 144     3.7 KiB    0.30 against 1.15
 #    n = 2520   m = 288    14.4 KiB    1.84 against 4.34
 #    n = 1293   m = 430    32.0 KiB    5.77 against 10.19
@@ -237,8 +237,7 @@ class IntPoly:
         if not self._coeffs:
             return ZERO
         out = [0] * ((len(self._coeffs) - 1) * k + 1)
-        for i, c in enumerate(self._coeffs):
-            out[i * k] = c
+        out[::k] = self._coeffs
         return IntPoly._unchecked(out)
 
     def __call__(self, a: int | Fraction | float | IntPoly) -> int | Fraction | float | IntPoly:
@@ -438,10 +437,14 @@ def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> lis
         even_b, odd_b = _binary_pack(b[0::2], nb), _binary_pack(b[1::2], nb) << s
         plus = (even_a + odd_a) * (even_b + odd_b)
         minus = (even_a - odd_a) * (even_b - odd_b)
-    length = len(a) + len(b) - 1
+    return _two_point_unpack(plus, minus, nb, len(a) + len(b) - 1)
+
+
+def _two_point_unpack(plus: int, minus: int, nb: int, length: int) -> list[int]:
+    # h from plus = h(2^s) and minus = h(-2^s), s = 4 * nb, as _kronecker_binary reads them.
     out = [0] * length
     out[0::2] = _binary_unpack((plus + minus) >> 1, nb, (length + 1) // 2)
-    out[1::2] = _binary_unpack((plus - minus) >> (s + 1), nb, length // 2)
+    out[1::2] = _binary_unpack((plus - minus) >> (4 * nb + 1), nb, length // 2)
     return out
 
 

@@ -103,7 +103,7 @@ def _lucas_weights(n: int, lead: int) -> list[int]:
     weights = [lead]
     c = lead
     for k in range(1, n // 2 + 1):
-        c, r = divmod(-c * (n - 2 * k + 2) * (n - 2 * k + 1), k * (n - k))
+        c, r = divmod(-c * ((n - 2 * k + 2) * (n - 2 * k + 1)), k * (n - k))
         if r:
             raise InternalInconsistencyError(f"lucas coefficient ({n},{k}) is not an integer")
         weights.append(c)
@@ -112,22 +112,24 @@ def _lucas_weights(n: int, lead: int) -> list[int]:
 
 @CACHE.family("cyclotomic", 1)
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by the Moebius product.
+    """The n-th cyclotomic polynomial, prime by prime from Phi_1 = x - 1; reads no cache entry.
 
-    Phi_n(x) = Phi_s(x^(n/s)) for s the product of the distinct primes of
-    n, and Phi_s is the product of (x^d - 1)^mu(s/d) over the divisors d
-    of s: each binomial with mu = +1 is multiplied in, then each with
-    mu = -1 divided out exactly.
+    Each prime p of n, ascending, takes Phi_e to Phi_ep(x) = Phi_e(x^p) times the
+    (x^(e/f) - 1)^-mu(f) for f | e: those of mu(f) = -1 multiplied in, then the
+    others divided out exactly.  Phi_n(x) = Phi_s(x^(n/s)) for s the radical of n.
 
     >>> str(cyclotomic(6))
     '1 - x + x^2'
     """
-    mobius = _mobius(n)
-    s = mobius[-1][0]
-    coeffs = [1]
-    for e, mu in sorted(mobius, key=lambda pair: -pair[1]):
-        coeffs = _times_binomial(coeffs, s // e, mu)
-    return IntPoly(coeffs).stretch(n // s)
+    coeffs, mobius = [-1, 1], [(1, 1)]
+    for p, _ in _factorize(n):
+        stretched = [0] * (len(coeffs) * p - p + 1)
+        stretched[::p] = coeffs
+        coeffs = stretched
+        for f, mu in sorted(mobius, key=lambda pair: pair[1]):
+            coeffs = _times_binomial(coeffs, mobius[-1][0] // f, -mu)
+        mobius += [(f * p, -mu) for f, mu in mobius]
+    return IntPoly(coeffs).stretch(n // mobius[-1][0])
 
 
 def _mobius(n: int) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -295,7 +296,9 @@ def _suite_fibonacci_divisibility(n_max: int) -> Check:
 
 
 def _random_poly(rng: random.Random, max_degree: int, coeff_bound: int) -> IntPoly:
-    coeffs = rng.choices(range(-coeff_bound, coeff_bound + 1), k=rng.randint(0, max_degree + 1))
+    # The draws rng.choices(range(-coeff_bound, coeff_bound + 1), k=...) makes, at less cost.
+    draw, n = rng.random, 2 * coeff_bound + 1.0
+    coeffs = [floor(draw() * n) - coeff_bound for _ in range(rng.randint(0, max_degree + 1))]
     while coeffs and coeffs[-1] == 0:
         coeffs[-1] = rng.randint(-coeff_bound, coeff_bound)
     return IntPoly(coeffs)
@@ -338,7 +341,7 @@ def _suite_fold_round_trip(n_max: int) -> Check:
         if m == 0:
             p = IntPoly((lead,))
         else:
-            half = [lead, *rng.choices(range(-10**6, 10**6 + 1), k=m - 1)]
+            half = [lead, *[floor(rng.random() * (2 * 10**6 + 1.0)) - 10**6 for _ in range(m - 1)]]
             center = rng.randint(-10**6, 10**6)
             p = IntPoly(half + [center] + half[::-1])
         w = palindrome_fold(p)

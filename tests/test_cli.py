@@ -387,6 +387,28 @@ RECORD_DIGESTS = {
         "5e09173a5e546c8f1580b428067c438604fbf211a60444891e49e0b28f2edf23",
     ("show", "spread", "1500", "--format", "record"):
         "7e1d60636a94a90605b0230371f8958dc16330f48a4bade214555ed55ee91f45",
+    # cyclotomic at 1 and 2, a power of two, a prime near the cap, five
+    # primes (2310 and 9240 = 8*2310) and three large ones (9699 = 3*53*61).
+    ("show", "cyclotomic", "1", "--format", "record"):
+        "bdad5811c2336c04428a7aed50a68a52967eec881033df10b5edf812f046d513",
+    ("show", "cyclotomic", "2", "--format", "record"):
+        "88197854c098524fb66b6a485e8674cf2e59e959f2192bfa5b5991fc69f94c8a",
+    ("show", "cyclotomic", "8192", "--format", "record"):
+        "0bfbaab3522474b054b18863a2d55f5e660c59dd039052f31389de03ec7eb2fa",
+    ("show", "cyclotomic", "9973", "--format", "record"):
+        "e4fc3851d55d43366205ed384a29e9bc8cc6f3092dae6b1e497cf81700a3074c",
+    ("show", "cyclotomic", "2310", "--format", "record"):
+        "88a3d2f1c448cf3f4cab123f6b5a733b377039ed7e7cc593c3df1a35db2ad0ed",
+    ("show", "cyclotomic", "9240", "--format", "record"):
+        "e3679e1438cc832722d085318a097eca43834b8f24de76d1ac5e0b136b7868d2",
+    ("show", "cyclotomic", "9699", "--format", "record"):
+        "4dc05155be794908a0b7f339df34bc08892b789beda0a8df05103417ae2e2b39",
+    # Capital Phi_1260 from the packed Clenshaw value on the reference
+    # route, as phi_1260 squared by the list kernel on the fast route.
+    ("show", "Phi", "1260", "--route", "min", "--format", "record"):
+        "8df4bc4d78480902c5cdf9c26c912a559456174abe02d4d9f54018635a830277",
+    ("show", "Phi", "1260", "--route", "fast", "--format", "record"):
+        "8df4bc4d78480902c5cdf9c26c912a559456174abe02d4d9f54018635a830277",
 }
 
 

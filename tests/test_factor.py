@@ -35,7 +35,7 @@ from spreadpoly import (
     zpread,
 )
 from spreadpoly.errors import NotDivisibleError, OutOfBoundsError
-from spreadpoly.intpoly import product
+from spreadpoly.intpoly import mul_schoolbook, product
 from spreadpoly.sequences import CACHE
 
 PSI_TABLE = {
@@ -259,6 +259,23 @@ def test_planted_cyclotomic_fault_is_caught_by_the_composition_route():
             cross_check_phi(105)
     finally:
         CACHE.clear()
+
+
+def test_capital_phi_reference_route_is_phi_min_squared(monkeypatch):
+    # The reference route reads Capital Phi_n from packed values, with no
+    # product by the list kernel, exactly where phi_n has at most 213
+    # coefficients up to the cap: each such n up to 1500, and 1680, the
+    # largest.  431 (216 coefficients) and 1681 lie just past either end
+    # and square phi_min(n) by the kernel.
+    operands = record_products(monkeypatch)
+    packed = [n for n in range(3, 1501) if totient(n) <= 424] + [1680]
+    for n in [*packed, 431, 1681]:
+        CACHE.clear()
+        operands.clear()
+        p = phi_min(n)
+        assert capital_phi(n, PhiRoute.MINIMAL_POLY) == mul_schoolbook(p, p), n
+        assert (operands == []) == (n in packed), n
+    CACHE.clear()
 
 
 def test_capital_phi_golden():
@@ -503,9 +520,8 @@ def test_product_check_catches_one_wrong_coefficient_at_the_cap(monkeypatch):
         CACHE.clear()
 
 
-def test_factor_multiplies_no_factors(monkeypatch):
-    # Every product inside factor_zpread squares one phi_d for Capital Phi_d;
-    # no two factors are ever multiplied together.
+def record_products(monkeypatch):
+    """The operand pairs of every list-kernel product from here on."""
     real = intpoly_mod._mul
     operands = []
 
@@ -514,11 +530,21 @@ def test_factor_multiplies_no_factors(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(intpoly_mod, "_mul", record)
-    for route in (PhiRoute.MINIMAL_POLY, PhiRoute.COMPOSITION):
-        CACHE.clear()
-        operands.clear()
-        assert factor_zpread(1260, route).product is zpread(1260)
-        assert operands and all(a is b for a, b in operands), route
+    return operands
+
+
+def test_factor_multiplies_no_factors(monkeypatch):
+    # No two factors are ever multiplied together.  At 1260 the reference
+    # route squares every Capital Phi_d from its packed Clenshaw value, with
+    # no product by the list kernel; every product of the composition route
+    # squares one phi_d.
+    operands = record_products(monkeypatch)
+    CACHE.clear()
+    assert factor_zpread(1260, PhiRoute.MINIMAL_POLY).product is zpread(1260)
+    assert operands == []
+    CACHE.clear()
+    assert factor_zpread(1260, PhiRoute.COMPOSITION).product is zpread(1260)
+    assert operands and all(a is b for a, b in operands)
     CACHE.clear()
     operands.clear()
     factor_lucas_minus2(1260)

@@ -98,6 +98,45 @@ def test_cyclotomic_matches_division():
         assert cyclotomic(n) == divided_cyclotomic(n), n
 
 
+def mobius_product_cyclotomic(n):
+    """Phi_n by the Moebius product over all binomials at once.
+
+    Phi_n(x) = Phi_s(x^(n/s)) for s the radical of n, and Phi_s is the
+    product of (x^(s/e) - 1)^mu(e) over the divisors e of s: every binomial
+    with mu = +1 is multiplied in before any with mu = -1 is divided out.
+    """
+    mobius = seq_mod._mobius(n)
+    s = mobius[-1][0]
+    coeffs = [1]
+    for e, mu in sorted(mobius, key=lambda pair: -pair[1]):
+        coeffs = seq_mod._times_binomial(coeffs, s // e, mu)
+    return IntPoly(coeffs).stretch(n // s)
+
+
+def test_cyclotomic_matches_the_mobius_product():
+    # Every index up to 2000, then every squarefree index up to 10000 with
+    # at least four distinct primes, where the prime-by-prime passes differ
+    # most from the all-binomials product; each from an empty cache.
+    powers = {n: seq_mod._factorize(n) for n in range(2001, 10001)}
+    wide = [n for n, f in powers.items() if len(f) >= 4 and all(e == 1 for _, e in f)]
+    for n in [*range(1, 2001), *wide]:
+        seq_mod.CACHE.clear()
+        assert cyclotomic(n) == mobius_product_cyclotomic(n), n
+
+
+def test_cyclotomic_reads_no_other_cache_entry():
+    # A wrong Phi_15 in the cache reaches neither Phi_75 nor Phi_105.
+    bad = list(mobius_product_cyclotomic(15).coeffs)
+    bad[4] += 1
+    seq_mod.CACHE.clear()
+    try:
+        seq_mod.CACHE.store("cyclotomic", 15, IntPoly(bad))
+        for n in (75, 105):
+            assert cyclotomic(n) == mobius_product_cyclotomic(n), n
+    finally:
+        seq_mod.CACHE.clear()
+
+
 def test_cyclotomic_caches_only_the_requested_index():
     seq_mod.CACHE.clear()
     cyclotomic(2310)
