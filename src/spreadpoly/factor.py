@@ -4,8 +4,8 @@ For index n the factor attached to divisor d is built from the minimal
 polynomial phi_d of 4*sin^2(pi/d).  The reference route folds the
 cyclotomic polynomial into the Lucas basis and reflects it through 2 - x;
 while phi_d packs into the binary Kronecker size, one Clenshaw pass on a
-packed integer does both, and while phi_d^2 does, Phi_d is squared from
-that integer's values at +-2^s.  The composition route writes phi_b in
+packed integer does both, and while phi_d^2 does, the kernel's two-point
+square takes Phi_d from that integer.  The composition route writes phi_b in
 the zpread basis, where Z_k(Z_c) = Z_kc makes phi_b(Z_c) a weighted sum
 of closed-form Z_kc.  For q the largest odd prime of n and b = n/q,
 phi_b(Z_q) is phi_n when q | b and phi_n * phi_b otherwise, so the route
@@ -31,7 +31,7 @@ from .errors import (
     ToleranceExceededError,
     VerificationFailureError,
 )
-from .intpoly import IntPoly, X, _binary_slot_bytes, _binary_unpack, _two_point_unpack
+from .intpoly import IntPoly, X, _binary_slot_bytes, _binary_unpack, _two_point_square
 from .intpoly import div_exact, palindrome_fold
 from .sequences import (
     CACHE,
@@ -256,8 +256,8 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
 
 
 def _capital_phi(n: int, route: PhiRoute) -> IntPoly:
-    """phi_n^2; while it packs, the reference route squares V = +-phi_n(2^s), 2^s > 2B, and
-    W = +-phi_n(-2^s) = V - 2 * (((V + H) & ODD) - (H & ODD)), H = 2^(s-1) in every slot.
+    """phi_n^2; while it packs, the reference route hands the packed Clenshaw value
+    +-phi_n(2^s) to ``intpoly._two_point_square``, whose slots for phi_n^2 make 2^s > 2B.
     """
     if n == 1:
         return X
@@ -270,12 +270,7 @@ def _capital_phi(n: int, route: PhiRoute) -> IntPoly:
         c, bound = _folded_weights(n)
         nb = _binary_slot_bytes(2 * len(c) * bound * bound, 2 * len(c) - 1)
         if nb:
-            nb += nb & 1
-            v = _packed_clenshaw(c, 4 * nb)
-            h = int.from_bytes((bytes(nb // 2 - 1) + b"\x80") * len(c), "little")
-            odd = int.from_bytes((bytes(nb // 2) + b"\xff" * (nb // 2)) * len(c), "little")
-            w = v - 2 * (((v + h) & odd) - (h & odd))
-            return IntPoly(_two_point_unpack(v * v, w * w, nb, 2 * len(c) - 1))
+            return IntPoly(_two_point_square(lambda s: _packed_clenshaw(c, s), nb, len(c)))
     phi = _ROUTE_BUILDERS[route](n)
     return phi * phi
 

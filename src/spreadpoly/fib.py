@@ -16,7 +16,6 @@ from math import prod
 from .errors import (
     IdentityFailureError,
     InternalInconsistencyError,
-    OutOfBoundsError,
     VerificationFailureError,
 )
 from .factor import phi_min  # noqa: F401 -- unused; perfbench's selftest wraps fib.phi_min
@@ -33,8 +32,6 @@ def primitive_part(n: int) -> int:
     >>> [primitive_part(n) for n in (1, 2, 3, 11, 12)]
     [1, 1, 2, 89, 6]
     """
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     mobius = _mobius(n)
     part, rest = divmod(
         prod(fibonacci(n // e) for e, mu in mobius if mu == 1),

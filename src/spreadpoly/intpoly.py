@@ -15,18 +15,20 @@ reference it is checked against.
 Every product goes through one list-level kernel, which picks one of three
 paths by size: for short operands a schoolbook that skips the zero
 coefficients of both and takes a square's cross products once, otherwise
-Kronecker substitution, packed into bytes while the packed product is
-small, and packed into decimal digits and multiplied by ``decimal`` above
-that.  The binary radix multiplies at 2^s and -2^s, two ``int`` products
-of half the packed width, and reads the even- and odd-index coefficients
-from their sum and difference.  This module alone sizes the packed
-slots and picks the radix.  Both radices share one slot format, written by
-``_to_slots`` and read back by ``_from_slots``, which refuses a borrow left
-past the top slot; each radix's reader refuses a value wider than its
-slots.  ``factor``'s packed Clenshaw values are read the same way.
-``mul_schoolbook``, the dense quadratic loop, is the reference the paths
-are checked against, and ``mul_karatsuba`` is another name for the
-kernel's product.
+Kronecker substitution, packed into bytes while the packed product is small,
+and packed into decimal digits and multiplied by ``decimal`` above that.
+The binary radix multiplies at 2^s and -2^s, two ``int`` products of half
+the packed width, and reads the even- and odd-index coefficients from their
+sum and difference.  Only distinct operands are packed in even and odd
+halves: one two-point square takes a square's packed value p(2^s), masks its
+odd slots for p(-2^s), and squares ``factor``'s packed Clenshaw value too.
+This module alone sizes the packed slots and picks the radix.  Both radices
+share one slot format, written by ``_to_slots`` and read back by
+``_from_slots``, which refuses a borrow left past the top slot; each radix's
+reader refuses a value wider than its slots.  ``factor``'s packed Clenshaw
+values are read the same way.  ``mul_schoolbook``, the dense quadratic loop,
+is the reference the paths are checked against, and ``mul_karatsuba`` is
+another name for the kernel's product.
 ``palindrome_fold`` returns the central weights of a palindromic
 polynomial as a plain tuple.
 """
@@ -419,29 +421,37 @@ def _binary_slot_bytes(bound: int, count: int) -> int:
 
 
 def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> list[int]:
-    # Two-point Kronecker substitution (Harvey, arXiv:0712.4046): h = a * b
-    # is read from h(2^s) and h(-2^s), two int products of half the width
-    # of h(2^(2s)).  Slots hold nb bytes, 2^(2s) = 256^nb > 2 * bound, and
-    # nb is rounded up to even, so s = 4 * nb bits is whole bytes.  Each
-    # operand is E(x^2) + x * O(x^2), and E and O are packed apart, so
-    # a(+-2^s) = E_a +- (O_a << s) at x^2 = 2^(2s); then h(2^s) + h(-2^s)
-    # is 2 * E_h and h(2^s) - h(-2^s) is O_h << (s + 1).
+    # Two-point Kronecker substitution (Harvey, arXiv:0712.4046): h = a * b is
+    # read from h(+-2^s), two int products of half the width of h(2^(2s)), with
+    # 2^(2s) = 256^nb > 2 * bound.  A square packs a at 2^s > 2 * max|a| * sqrt(len(a))
+    # for _two_point_square.  Distinct operands, E(x^2) + x * O(x^2) with E and O
+    # packed apart, are E +- (O << s) at +-2^s; h(2^s) +- h(-2^s) is 2E_h or O_h << (s + 1).
     nb = _slot_bytes(bound)
+    if b is a:
+        return _two_point_square(lambda s: _binary_pack(a, s // 8), nb, len(a))
     nb += nb & 1
     s = 4 * nb
     even_a, odd_a = _binary_pack(a[0::2], nb), _binary_pack(a[1::2], nb) << s
-    if b is a:
-        plus = (even_a + odd_a) ** 2
-        minus = (even_a - odd_a) ** 2
-    else:
-        even_b, odd_b = _binary_pack(b[0::2], nb), _binary_pack(b[1::2], nb) << s
-        plus = (even_a + odd_a) * (even_b + odd_b)
-        minus = (even_a - odd_a) * (even_b - odd_b)
+    even_b, odd_b = _binary_pack(b[0::2], nb), _binary_pack(b[1::2], nb) << s
+    plus = (even_a + odd_a) * (even_b + odd_b)
+    minus = (even_a - odd_a) * (even_b - odd_b)
     return _two_point_unpack(plus, minus, nb, len(a) + len(b) - 1)
 
 
+def _two_point_square(value_at, nb: int, length: int) -> list[int]:
+    # p * p, for p of length coefficients, from v = value_at(s) = p(2^s), in slots of nb bytes
+    # rounded up to even, s = 4 * nb.  v + H, H = 2^(s-1) in each slot, holds c_i + H in slot i,
+    # so its odd slots less H's are p's odd part, and v less twice that part is p(-2^s).
+    nb += nb & 1
+    v, half = value_at(4 * nb), nb // 2
+    h = int.from_bytes((bytes(half - 1) + b"\x80") * length, "little")
+    odd = int.from_bytes((bytes(half) + b"\xff" * half) * (length // 2 + 1), "little")
+    w = v - 2 * (((v + h) & odd) - (h & odd))
+    return _two_point_unpack(v * v, w * w, nb, 2 * length - 1)
+
+
 def _two_point_unpack(plus: int, minus: int, nb: int, length: int) -> list[int]:
-    # h from plus = h(2^s) and minus = h(-2^s), s = 4 * nb, as _kronecker_binary reads them.
+    # h from plus = h(2^s) and minus = h(-2^s), s = 4 * nb, for both two-point products.
     out = [0] * length
     out[0::2] = _binary_unpack((plus + minus) >> 1, nb, (length + 1) // 2)
     out[1::2] = _binary_unpack((plus - minus) >> (4 * nb + 1), nb, length // 2)

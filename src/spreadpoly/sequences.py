@@ -52,14 +52,16 @@ class SequenceCache:
         """Decorator declaring a memoized family of one index.
 
         The decorated function builds the value at index n; the result
-        refuses n < ``minimum`` with OutOfBoundsError and otherwise
-        memoizes the build under ``name``.  The uncached build stays
-        reachable as ``__wrapped__``.
+        refuses an n that is not exactly an int with TypeError, n < ``minimum``
+        with OutOfBoundsError, and otherwise memoizes the build under ``name``.
+        The uncached build stays reachable as ``__wrapped__``.
         """
 
         def declare(build: Callable[[int], T]) -> Callable[[int], T]:
             @functools.wraps(build)
             def member(n: int) -> T:
+                if type(n) is not int:
+                    raise TypeError(f"{name} index must be int, not {type(n).__name__}")
                 if n < minimum:
                     raise OutOfBoundsError(f"{name} index must be at least {minimum}")
                 return self.get_or_compute(name, n, lambda: build(n))
@@ -247,8 +249,6 @@ def lucas_value(n: int, y: int) -> int:
 
 def totient(n: int) -> int:
     """Euler's totient, from the prime factorization."""
-    if n < 1:
-        raise OutOfBoundsError("totient argument must be positive")
     result = n
     for p, _ in _factorize(n):
         result -= result // p
@@ -256,7 +256,11 @@ def totient(n: int) -> int:
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """The prime powers (p, e) of n >= 1 in ascending order of p, by trial division."""
+    """The prime powers (p, e) of n by trial division, ascending in p; n must be an int >= 1."""
+    if type(n) is not int:
+        raise TypeError(f"index must be int, not {type(n).__name__}")
+    if n < 1:
+        raise OutOfBoundsError("index must be positive")
     powers = []
     p = 2
     while p * p <= n:
@@ -274,8 +278,6 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
-    if n < 1:
-        raise OutOfBoundsError("index must be positive")
     divs = [1]
     for p, e in _factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]

@@ -278,6 +278,38 @@ def test_capital_phi_reference_route_is_phi_min_squared(monkeypatch):
     CACHE.clear()
 
 
+def test_every_binary_square_takes_the_two_point_square(monkeypatch):
+    # One routine squares on the binary Kronecker path: the kernel's square
+    # of one operand and the reference route's Capital Phi from its packed
+    # Clenshaw value.  A product of distinct operands keeps its own split.
+    real = intpoly_mod._two_point_square
+    lengths = []
+
+    def spy(value_at, nb, length):
+        lengths.append(length)
+        return real(value_at, nb, length)
+
+    monkeypatch.setattr(intpoly_mod, "_two_point_square", spy)
+    monkeypatch.setattr(factor_mod, "_two_point_square", spy)
+    rng = random.Random(38)
+    for m in (33, 97, 193):
+        p, q = (IntPoly([rng.randint(-99, 99) for _ in range(m - 1)] + [1]) for _ in "pq")
+        assert intpoly_mod._binary_slot_bytes(2 * 99 * 99 * m, 2 * m - 1)
+        lengths.clear()
+        assert p * p == mul_schoolbook(p, p)
+        assert lengths == [m]
+        lengths.clear()
+        assert p * q == mul_schoolbook(p, q)
+        assert lengths == []
+    for n in (1260, 1680):
+        CACHE.clear()
+        lengths.clear()
+        square = capital_phi(n, PhiRoute.MINIMAL_POLY)
+        assert lengths == [totient(n) // 2 + 1]
+        assert square == mul_schoolbook(phi_min(n), phi_min(n))
+    CACHE.clear()
+
+
 def test_capital_phi_golden():
     assert capital_phi(1) == IntPoly((0, 1))
     assert capital_phi(2) == IntPoly((4, -1))

@@ -21,6 +21,7 @@ from spreadpoly.intpoly import (
     _mul_kronecker,
     _mul_schoolbook,
     _slot_bytes,
+    _two_point_square,
     int_from_digits,
     int_to_digits,
     product,
@@ -164,6 +165,13 @@ def decimal_radix(a, b):
 RADICES = (_mul_kronecker, binary_radix, decimal_radix)
 
 
+def two_point_square(a):
+    # The binary radix's square of a, fed a packed at half the product's
+    # slot, as _kronecker_binary feeds it, at any packed size.
+    nb = _slot_bytes(_kronecker_bound(a, a))
+    return _two_point_square(lambda s: _binary_pack(a, s // 8), nb, len(a))
+
+
 @given(a=kernel_operands(32), b=kernel_operands(32))
 @settings(max_examples=120, deadline=None)
 def test_kronecker_matches_schoolbook(a, b):
@@ -190,6 +198,8 @@ def test_kronecker_on_tiny_operands(p, q):
     for kronecker in RADICES:
         assert IntPoly(kronecker(a, b)) == mul_schoolbook(p, q)
         assert IntPoly(kronecker(a, a)) == mul_schoolbook(p, p)
+    assert IntPoly(two_point_square(a)) == mul_schoolbook(p, p)
+    assert IntPoly(two_point_square(b)) == mul_schoolbook(q, q)
 
 
 def test_kronecker_unbalanced_shapes():
@@ -203,15 +213,19 @@ def test_kronecker_unbalanced_shapes():
 def test_kronecker_at_the_slot_bound():
     # Operands of equal magnitude make the middle product coefficients as
     # large as the slot width allows: min(len) * max|a| * max|b|.  The
-    # binary radix rounds an odd slot width up to even; both occur here.
-    parities = set()
+    # binary radix rounds an odd slot width up to even; both occur here,
+    # for products and for the two-point square's own slots.
+    parities, square_parities = set(), set()
     for m in (1, 9, 10**40 - 1, 10**40, 2**130):
         for a, b in (((m,) * 33, (m,) * 40), ((m,) * 33, (-m,) * 35), ((-m, m) * 20, (m, -m) * 17)):
             parities.add(_slot_bytes(_kronecker_bound(a, b)) % 2)
             for kronecker in RADICES:
                 assert kronecker(a, b) == _mul_schoolbook(a, b)
                 assert kronecker(a, a) == _mul_schoolbook(a, a)
-    assert parities == {0, 1}
+            for c in (a, b):
+                square_parities.add(_slot_bytes(_kronecker_bound(c, c)) % 2)
+                assert two_point_square(c) == _mul_schoolbook(c, c)
+    assert parities == square_parities == {0, 1}
 
 
 @pytest.mark.parametrize("i,j", [(34, 36), (33, 34), (33, 35)])
@@ -238,6 +252,8 @@ def test_kronecker_beyond_the_digit_limit():
     for kronecker in RADICES:
         assert IntPoly(kronecker(a.coeffs, b.coeffs)) == a * b
         assert IntPoly(kronecker(a.coeffs, a.coeffs)) == a * a
+    assert IntPoly(two_point_square(a.coeffs)) == a * a
+    assert IntPoly(two_point_square(b.coeffs)) == b * b
 
 
 def test_kronecker_radix_switches_at_the_packed_size(monkeypatch):

@@ -340,6 +340,42 @@ def test_declared_family_contract(name, minimum, n):
     assert fn.__wrapped__(n) == value
 
 
+# Every public function that takes an index reaches SequenceCache.family or
+# sequences._factorize, the two owners of the index rule, before it builds.
+INDEX_FUNCTIONS = [
+    "lucas",
+    "cyclotomic",
+    "zpread",
+    "zpread_via_lucas",
+    "monic_zpread",
+    "spread",
+    "fibonacci",
+    "totient",
+    "divisors",
+    "psi",
+    "phi_min",
+    "phi_composed",
+    "cross_check_phi",
+    "factor_zpread",
+    "factor_lucas_minus2",
+    "primitive_part",
+    "fib_factorization",
+    "zpread_at5_identity",
+]
+
+
+@pytest.mark.parametrize("name", INDEX_FUNCTIONS)
+@pytest.mark.parametrize("index", [1.5, 6.0, True], ids=repr)
+def test_an_index_that_is_not_an_int_is_refused(name, index):
+    # Unchecked, a float index makes totient return a float and divisors a
+    # list of floats, and a bool reads the table entry of 0 or 1; a bool is
+    # refused as IntPoly refuses a bool coefficient.
+    seq_mod.CACHE.clear()
+    with pytest.raises(TypeError, match=f"index must be int, not {type(index).__name__}"):
+        getattr(spreadpoly, name)(index)
+    seq_mod.CACHE.clear()
+
+
 def test_cache_hits_are_identical():
     cache = SequenceCache()
     first = cache.get_or_compute("demo", 2, lambda: IntPoly((1, 2)))
