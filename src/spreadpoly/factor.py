@@ -35,6 +35,7 @@ from .intpoly import IntPoly, X, _binary_slot_bytes, _binary_unpack, _two_point_
 from .intpoly import div_exact, palindrome_fold
 from .sequences import (
     CACHE,
+    _check_index,
     _factorize,
     _lucas_weights,
     cyclotomic,
@@ -248,7 +249,10 @@ def capital_phi(n: int, route: PhiRoute = PhiRoute.MINIMAL_POLY) -> IntPoly:
     Degree is totient(n) for every n.  ``route`` picks which construction
     supplies phi_n for n >= 3 and must be a key of ``_ROUTE_BUILDERS``, a
     route that builds every index; anything else raises OutOfBoundsError.
+    The index rule is that of the memoized families, checked before the
+    route's table is read.
     """
+    _check_index("capital_phi", n, 1)
     if route not in _ROUTE_BUILDERS:
         name = getattr(route, "value", repr(route))
         raise OutOfBoundsError(f"route {name} cannot build every index")

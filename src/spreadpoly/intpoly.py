@@ -8,9 +8,12 @@ empty tuple.  Values are immutable and safe to share between threads.
 ``p(a)`` evaluates by Horner's rule: exactly at an ``int`` or a
 ``fractions.Fraction``, in double precision at a ``float``, and as the
 composition p(a(x)) at an ``IntPoly``.  ``p.compose(q)`` computes the same
-composition on coefficient lists: a Taylor shift for a linear ``q``, else
-Horner on lists with one ``IntPoly`` built at the end; ``p(q)`` is the
-reference it is checked against.
+composition without building an ``IntPoly`` per step: a Taylor shift on
+lists for a linear ``q``; for a longer ``q``, while the result packs into
+the binary Kronecker size, p at the packed value Q = q(2^s) by
+Paterson-Stockmeyer, about 2 * sqrt(deg p) ``int`` products, read back
+from the slots of p(Q); else Horner on lists.  ``p(q)`` is the reference
+they are checked against.
 
 Every product goes through one list-level kernel, which picks one of three
 paths by size: for short operands a schoolbook that skips the zero
@@ -26,9 +29,10 @@ This module alone sizes the packed slots and picks the radix.  Both radices
 share one slot format, written by ``_to_slots`` and read back by
 ``_from_slots``, which refuses a borrow left past the top slot; each radix's
 reader refuses a value wider than its slots.  ``factor``'s packed Clenshaw
-values are read the same way.  ``mul_schoolbook``, the dense quadratic loop,
-is the reference the paths are checked against, and ``mul_karatsuba`` is
-another name for the kernel's product.
+values and the packed compositions are read the same way.
+``mul_schoolbook``, the dense quadratic loop, is the reference the paths are
+checked against, and ``mul_karatsuba`` is another name for the kernel's
+product.
 ``palindrome_fold`` returns the central weights of a palindromic
 polynomial as a plain tuple.
 """
@@ -59,7 +63,8 @@ if TYPE_CHECKING:
 _MUL_THRESHOLD = 32
 
 # Two packed kernels run on CPython ints up to this many packed bytes.
-# Kronecker products that pack into more multiply in decimal.  Whole
+# Kronecker products that pack into more multiply in decimal, and
+# compositions whose result would run Horner on lists.  Whole
 # kernel on squares of random polynomials, two-point binary against
 # decimal (ms; 2-vCPU Linux VM, Python 3.11.7, one CPU, CPU time, medians
 # of five runs):
@@ -125,7 +130,9 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> IntPoly:
-        """The single term c*x^k."""
+        """The single term c*x^k; k must be exactly an int."""
+        if type(k) is not int:
+            raise TypeError(f"exponent must be int, not {type(k).__name__}")
         if k < 0:
             raise OutOfBoundsError("exponent must be non-negative")
         return cls((0,) * k + (c,))
@@ -216,17 +223,29 @@ class IntPoly:
     def compose(self, inner: IntPoly) -> IntPoly:
         """Substitute ``inner`` for the variable.
 
-        A linear ``inner`` a + b*x is a Taylor shift on coefficient lists;
-        any other ``inner`` runs Horner's rule on lists, each step one
-        product by the list kernel.  ``self(inner)``, Horner's rule through
-        ``IntPoly`` values, is the reference both are checked against.
+        A linear ``inner`` a + b*x is a Taylor shift on coefficient lists.
+        When self has two or more coefficients and ``inner`` three or more,
+        and the result packs into the binary Kronecker size, self is
+        evaluated at the packed value inner(2^s) by Paterson-Stockmeyer and
+        the result read from its slots; otherwise, for a zero or constant
+        operand or a larger result, Horner's rule runs on lists, each step
+        one product by the list kernel.  ``self(inner)``, Horner's rule
+        through ``IntPoly`` values, is the reference all three are checked
+        against.  Raises TypeError if ``inner`` is not an IntPoly.
 
         >>> str(IntPoly((-3, 1)).compose(IntPoly((4, -1))))
         '1 - x'
         """
-        if len(inner._coeffs) == 2:
-            return IntPoly._unchecked(_compose_linear(self._coeffs, *inner._coeffs))
-        return IntPoly._unchecked(_compose_horner(self._coeffs, inner._coeffs))
+        if not isinstance(inner, IntPoly):
+            raise TypeError(f"compose inner must be IntPoly, not {type(inner).__name__}")
+        cs, q = self._coeffs, inner._coeffs
+        if len(q) == 2:
+            return IntPoly._unchecked(_compose_linear(cs, *q))
+        if len(cs) > 1 and len(q) > 2:
+            nb = _binary_slot_bytes(_compose_bound(cs, q), (len(cs) - 1) * (len(q) - 1) + 1)
+            if nb:
+                return IntPoly._unchecked(_compose_packed(cs, q, nb))
+        return IntPoly._unchecked(_compose_horner(cs, q))
 
     def stretch(self, k: int) -> IntPoly:
         """Substitute x^k for x by spreading coefficients; exact and cheap.
@@ -234,6 +253,8 @@ class IntPoly:
         >>> str(IntPoly((-3, 1)).stretch(2))
         '-3 + x^2'
         """
+        if type(k) is not int:
+            raise TypeError(f"stretch factor must be int, not {type(k).__name__}")
         if k < 1:
             raise OutOfBoundsError("stretch factor must be positive")
         if not self._coeffs:
@@ -556,6 +577,33 @@ def _compose_linear(cs: tuple[int, ...], a: int, b: int) -> list[int]:
         scale *= b
         r[k] *= scale
     return r
+
+
+def _compose_bound(cs: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    # sum(|c_k| * N^k), N = sum(|q_j|): no coefficient of p(q) exceeds it,
+    # as no coefficient of q^k exceeds N^k.
+    norm = sum(map(abs, inner))
+    bound = 0
+    for c in reversed(cs):
+        bound = bound * norm + abs(c)
+    return bound
+
+
+def _compose_packed(cs: tuple[int, ...], inner: tuple[int, ...], nb: int) -> list[int]:
+    # p(q) read from the int p(Q), Q = q(256^nb), with nb the slot bytes of
+    # _compose_bound.  Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973):
+    # Q^0..Q^s for s = isqrt(deg p) + 1, each block of s coefficients as
+    # sum(c_i * Q^i), then Horner in Q^s from the top block: about
+    # 2 * sqrt(deg p) int products where Horner on lists takes deg p.
+    s = math.isqrt(len(cs) - 1) + 1
+    powers = [1, _binary_pack(inner, nb)]
+    while len(powers) <= s:
+        powers.append(powers[-1] * powers[1])
+    step = powers.pop()
+    acc = 0
+    for j in range((len(cs) - 1) // s * s, -1, -s):
+        acc = acc * step + sum(c * w for c, w in zip(cs[j : j + s], powers))
+    return _binary_unpack(acc, nb, (len(cs) - 1) * (len(inner) - 1) + 1)
 
 
 def _compose_horner(cs, inner) -> list[int]:

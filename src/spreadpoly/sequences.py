@@ -18,6 +18,14 @@ T = TypeVar("T")
 _MISSING = object()
 
 
+def _check_index(name: str, n: int, minimum: int) -> None:
+    """Refuse an n that is not exactly an int (TypeError) or is below minimum (OutOfBoundsError)."""
+    if type(n) is not int:
+        raise TypeError(f"{name} index must be int, not {type(n).__name__}")
+    if n < minimum:
+        raise OutOfBoundsError(f"{name} index must be at least {minimum}")
+
+
 class SequenceCache:
     """Insert-only memo tables, one per family, keyed by index.
 
@@ -60,10 +68,7 @@ class SequenceCache:
         def declare(build: Callable[[int], T]) -> Callable[[int], T]:
             @functools.wraps(build)
             def member(n: int) -> T:
-                if type(n) is not int:
-                    raise TypeError(f"{name} index must be int, not {type(n).__name__}")
-                if n < minimum:
-                    raise OutOfBoundsError(f"{name} index must be at least {minimum}")
+                _check_index(name, n, minimum)
                 return self.get_or_compute(name, n, lambda: build(n))
 
             return member

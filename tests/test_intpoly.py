@@ -13,6 +13,7 @@ from spreadpoly import intpoly as intpoly_mod
 from spreadpoly.intpoly import (
     _binary_pack,
     _binary_unpack,
+    _compose_bound,
     _decimal_unpack,
     _kronecker_binary,
     _kronecker_bound,
@@ -26,6 +27,7 @@ from spreadpoly.intpoly import (
     int_to_digits,
     product,
 )
+from spreadpoly import verify
 from spreadpoly import (
     IntPoly,
     InternalInconsistencyError,
@@ -515,15 +517,18 @@ def test_linear_compose_matches_horner(p, inner):
 
 # Inners that are not linear: zero, constants, sparse inners with a zero
 # constant term, dense ones of up to 40 coefficients, and HUGE coefficients.
-# An outer of three or more coefficients and an inner over 32 make a Horner
-# step whose operands are both longer than 32, so it takes Kronecker.
+# An outer of two or more coefficients and an inner of three or more take
+# Paterson-Stockmeyer on the packed inner while the result packs into 32 KiB;
+# outers of up to 30 coefficients make three to six blocks there.  Past that
+# size Horner runs on lists, and an inner over 32 coefficients sends its
+# steps to Kronecker.
 nonlinear_inners = st.one_of(
     st.sampled_from((ZERO, ONE, IntPoly((-7,)), IntPoly((HUGE,)), IntPoly((0, 0, 1)), IntPoly((0, 3, 0, -2)))),
     st.builds(IntPoly, st.lists(wide_coeffs, min_size=3, max_size=40)),
 ).filter(lambda q: q.degree() != 1)
 
 
-@given(p=st.builds(IntPoly, st.lists(wide_coeffs, max_size=8)), inner=nonlinear_inners)
+@given(p=st.builds(IntPoly, st.lists(wide_coeffs, max_size=30)), inner=nonlinear_inners)
 @example(p=ZERO, inner=IntPoly((0, 0, 1)))
 @example(p=IntPoly((-5,)), inner=IntPoly((1, 2, 3)))
 @example(p=IntPoly((1, -2, 3)), inner=ZERO)
@@ -536,6 +541,98 @@ def test_nonlinear_compose_matches_horner(p, inner):
     composed = p.compose(inner)
     assert composed == p(inner)
     assert well_formed(composed)
+
+
+def refuse(*args):
+    raise AssertionError("wrong composition path")
+
+
+# Outer lengths around each square s^2, where the block length
+# isqrt(length - 1) + 1 and the number of blocks change.
+@pytest.mark.parametrize("length", [3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26])
+def test_packed_compose_at_block_boundaries(monkeypatch, length):
+    monkeypatch.setattr(intpoly_mod, "_compose_horner", refuse)
+    rng = random.Random(length)
+    outers = (
+        IntPoly([rng.randint(-9, 9) for _ in range(length - 1)] + [-1]),
+        IntPoly([rng.randint(-(10**20), 10**20) for _ in range(length - 1)] + [-(10**20)]),
+        IntPoly((1,) + (0,) * (length - 2) + (-3,)),  # every block but the first and last is zero
+        IntPoly.monomial(length - 1, -1),  # every block but the top one is zero
+    )
+    inners = (IntPoly((0, 0, 1)), IntPoly((0, 3, 0, -2)), IntPoly((5, -1, 2)), IntPoly((-1, 0, 0, 0, -7)))
+    for p in outers:
+        for q in inners:
+            composed = p.compose(q)
+            assert composed == p(q), (p, q)
+            assert well_formed(composed)
+
+
+def test_packed_compose_beyond_the_digit_limit(monkeypatch):
+    # Slots of 2 to 6 thousand bytes, each coefficient past the 4300-digit limit.
+    monkeypatch.setattr(intpoly_mod, "_compose_horner", refuse)
+    cases = (
+        (IntPoly((HUGE, 0, -HUGE + 1)), IntPoly((1, -2, 1))),
+        (IntPoly((1, -2, -3)), IntPoly((HUGE, -1, HUGE + 7))),
+        (IntPoly((-HUGE, 1, HUGE)), IntPoly((0, HUGE, -HUGE))),
+    )
+    for p, q in cases:
+        assert p.compose(q) == p(q)
+
+
+def test_packed_compose_stops_at_the_binary_size(monkeypatch):
+    # L_24(L_24) packs 577 slots of 51 bytes, within 32 KiB; L_25(L_25)
+    # would pack 626 of 55 and runs Horner on lists.
+    for n, packed_bytes, refused in ((24, 29427, "_compose_horner"), (25, 34430, "_compose_packed")):
+        a = lucas(n).coeffs
+        assert _slot_bytes(_compose_bound(a, a)) * (n * n + 1) == packed_bytes
+        monkeypatch.setattr(intpoly_mod, refused, refuse)
+        assert lucas(n).compose(lucas(n)) == lucas(n)(lucas(n)) == lucas(n * n)
+        monkeypatch.undo()
+
+
+def test_composition_suites_pack_every_nonlinear_composition(monkeypatch):
+    # verify's composition identities take the packed path; Horner on lists
+    # sees only a zero or constant operand, such as lucas(0) = 2.
+    horner_operands, packed = [], []
+    real_horner, real_packed = intpoly_mod._compose_horner, intpoly_mod._compose_packed
+
+    def horner(cs, inner):
+        horner_operands.append((len(cs), len(inner)))
+        return real_horner(cs, inner)
+
+    def packed_spy(cs, inner, nb):
+        packed.append((len(cs), len(inner)))
+        return real_packed(cs, inner, nb)
+
+    monkeypatch.setattr(intpoly_mod, "_compose_horner", horner)
+    monkeypatch.setattr(intpoly_mod, "_compose_packed", packed_spy)
+    suites = (
+        "lucas-index-product",
+        "zpread-index-product",
+        "zpread-capital-phi-commutation",
+        "zpread-square-substitution",
+    )
+    for name in suites:
+        assert verify.run_suite(name, 20).passed, name
+    assert horner_operands and all(min(lengths) <= 1 for lengths in horner_operands)
+    assert len(packed) > 500
+
+
+@pytest.mark.parametrize("inner", [3, 2.5, None, (0, 1)], ids=repr)
+def test_compose_refuses_an_inner_that_is_not_a_polynomial(inner):
+    with pytest.raises(TypeError, match=f"compose inner must be IntPoly, not {type(inner).__name__}"):
+        X.compose(inner)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 1.5], ids=repr)
+def test_monomial_and_stretch_refuse_a_k_that_is_not_an_int(k):
+    # As p ** k does: a bool would otherwise read as 0 or 1.
+    with pytest.raises(TypeError, match=f"exponent must be int, not {type(k).__name__}"):
+        IntPoly.monomial(k)
+    with pytest.raises(TypeError, match=f"stretch factor must be int, not {type(k).__name__}"):
+        X.stretch(k)
+    with pytest.raises(TypeError):
+        X**k
 
 
 @given(p=polys)

@@ -340,8 +340,9 @@ def test_declared_family_contract(name, minimum, n):
     assert fn.__wrapped__(n) == value
 
 
-# Every public function that takes an index reaches SequenceCache.family or
-# sequences._factorize, the two owners of the index rule, before it builds.
+# Every public function that takes an index reaches sequences._check_index
+# (through SequenceCache.family or directly) or sequences._factorize, the two
+# owners of the index rule, before it builds.
 INDEX_FUNCTIONS = [
     "lucas",
     "cyclotomic",
@@ -355,6 +356,7 @@ INDEX_FUNCTIONS = [
     "psi",
     "phi_min",
     "phi_composed",
+    "capital_phi",
     "cross_check_phi",
     "factor_zpread",
     "factor_lucas_minus2",
@@ -374,6 +376,23 @@ def test_an_index_that_is_not_an_int_is_refused(name, index):
     with pytest.raises(TypeError, match=f"index must be int, not {type(index).__name__}"):
         getattr(spreadpoly, name)(index)
     seq_mod.CACHE.clear()
+
+
+def test_capital_phi_checks_its_index_before_its_table():
+    # capital_phi keeps one table per route outside SequenceCache.family and
+    # applies the family rule itself, so no refused index is ever stored.
+    seq_mod.CACHE.clear()
+    for route in (spreadpoly.PhiRoute.MINIMAL_POLY, spreadpoly.PhiRoute.COMPOSITION):
+        for index in (True, 1.0, 2.0):
+            message = f"^capital_phi index must be int, not {type(index).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                spreadpoly.capital_phi(index, route)
+        for index in (0, -3):
+            message = "^capital_phi index must be at least 1$"
+            with pytest.raises(spreadpoly.OutOfBoundsError, match=message):
+                spreadpoly.capital_phi(index, route)
+        assert not seq_mod.CACHE.table(f"capital_phi:{route.value}")
+    assert spreadpoly.capital_phi(2) == IntPoly((4, -1))
 
 
 def test_cache_hits_are_identical():
