@@ -123,8 +123,7 @@ class PhiRoute(enum.Enum):
 
 def phi_odd_lucas(m: int) -> IntPoly:
     """phi_m for odd m >= 1, read from the table of ``phi_composed``."""
-    if m < 1:
-        raise OutOfBoundsError("phi_odd_lucas index must be at least 1")
+    _check_index("phi_odd_lucas", m, 1)
     if m % 2 == 0:
         raise OutOfBoundsError("phi_odd_lucas index must be odd")
     return phi_composed(m)
@@ -136,8 +135,7 @@ def phi_pow2(k: int) -> IntPoly:
     >>> str(phi_pow2(3))
     '2 - 4*x + x^2'
     """
-    if k < 0:
-        raise OutOfBoundsError("phi_pow2 index must be at least 0")
+    _check_index("phi_pow2", k, 0)
     return phi_composed(1 << k)
 
 
@@ -192,7 +190,8 @@ _ROUTE_BUILDERS = {PhiRoute.MINIMAL_POLY: phi_min, PhiRoute.COMPOSITION: phi_com
 
 
 def applicable_routes(n: int) -> list[PhiRoute]:
-    """Routes that can compute the index-n minimal polynomial."""
+    """Routes that can compute the index-n minimal polynomial, n >= 1."""
+    _check_index("applicable_routes", n, 1)
     routes = [PhiRoute.MINIMAL_POLY]
     if n % 2:
         routes.append(PhiRoute.ODD_LUCAS)

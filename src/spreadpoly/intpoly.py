@@ -12,8 +12,8 @@ composition without building an ``IntPoly`` per step: a Taylor shift on
 lists for a linear ``q``; for a longer ``q``, while the result packs into
 the binary Kronecker size, p at the packed value Q = q(2^s) by
 Paterson-Stockmeyer, about 2 * sqrt(deg p) ``int`` products, read back
-from the slots of p(Q); else Horner on lists.  ``p(q)`` is the reference
-they are checked against.
+from the slots of p(Q).  Any other composition is ``p(q)`` itself, the
+reference both fast paths are checked against.
 
 Every product goes through one list-level kernel, which picks one of three
 paths by size: for short operands a schoolbook that skips the zero
@@ -25,7 +25,9 @@ the packed width, and reads the even- and odd-index coefficients from their
 sum and difference.  Only distinct operands are packed in even and odd
 halves: one two-point square takes a square's packed value p(2^s), masks its
 odd slots for p(-2^s), and squares ``factor``'s packed Clenshaw value too.
-This module alone sizes the packed slots and picks the radix.  Both radices
+``_mul_kronecker`` sizes a product's slots once and picks its path there;
+``compose`` and ``factor``'s packed Clenshaw values size theirs by the same
+binary rule, ``_binary_slot_bytes``.  Both radices
 share one slot format, written by ``_to_slots`` and read back by
 ``_from_slots``, which refuses a borrow left past the top slot; each radix's
 reader refuses a value wider than its slots.  ``factor``'s packed Clenshaw
@@ -64,7 +66,7 @@ _MUL_THRESHOLD = 32
 
 # Two packed kernels run on CPython ints up to this many packed bytes.
 # Kronecker products that pack into more multiply in decimal, and
-# compositions whose result would run Horner on lists.  Whole
+# compositions whose result would pack into more run p(q).  Whole
 # kernel on squares of random polynomials, two-point binary against
 # decimal (ms; 2-vCPU Linux VM, Python 3.11.7, one CPU, CPU time, medians
 # of five runs):
@@ -227,10 +229,9 @@ class IntPoly:
         When self has two or more coefficients and ``inner`` three or more,
         and the result packs into the binary Kronecker size, self is
         evaluated at the packed value inner(2^s) by Paterson-Stockmeyer and
-        the result read from its slots; otherwise, for a zero or constant
-        operand or a larger result, Horner's rule runs on lists, each step
-        one product by the list kernel.  ``self(inner)``, Horner's rule
-        through ``IntPoly`` values, is the reference all three are checked
+        the result read from its slots.  For a zero or constant operand or a
+        larger result it returns ``self(inner)``, Horner's rule through
+        ``IntPoly`` values, the reference both fast paths are checked
         against.  Raises TypeError if ``inner`` is not an IntPoly.
 
         >>> str(IntPoly((-3, 1)).compose(IntPoly((4, -1))))
@@ -245,7 +246,7 @@ class IntPoly:
             nb = _binary_slot_bytes(_compose_bound(cs, q), (len(cs) - 1) * (len(q) - 1) + 1)
             if nb:
                 return IntPoly._unchecked(_compose_packed(cs, q, nb))
-        return IntPoly._unchecked(_compose_horner(cs, q))
+        return self(inner)
 
     def stretch(self, k: int) -> IntPoly:
         """Substitute x^k for x by spreading coefficients; exact and cheap.
@@ -416,12 +417,16 @@ def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     # 2 * max|a| * max|b| * min(len), so every product coefficient lies
     # strictly between -R/2 and R/2 and the slots can be read back one by
     # one.  A product that packs into at most _KRONECKER_BINARY_BYTES takes
-    # R = 256^nb and two CPython int products at +-16^nb; a larger one takes
-    # R = 10^k and libmpdec's, which switches to a number-theoretic transform.
+    # R = 256^nb and two CPython int products at +-16^nb, a square by the
+    # two-point square of its packed value; a larger one takes R = 10^k and
+    # libmpdec's, which switches to a number-theoretic transform.
     bound = _kronecker_bound(a, b)
-    if _binary_slot_bytes(bound, len(a) + len(b) - 1):
-        return _kronecker_binary(a, b, bound)
-    return _kronecker_decimal(a, b, bound)
+    nb = _binary_slot_bytes(bound, len(a) + len(b) - 1)
+    if not nb:
+        return _kronecker_decimal(a, b, bound)
+    if b is a:
+        return _two_point_square(lambda s: _binary_pack(a, s // 8), nb, len(a))
+    return _kronecker_binary(a, b, nb)
 
 
 def _kronecker_bound(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -441,15 +446,12 @@ def _binary_slot_bytes(bound: int, count: int) -> int:
     return nb if nb * count <= _KRONECKER_BINARY_BYTES else 0
 
 
-def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> list[int]:
-    # Two-point Kronecker substitution (Harvey, arXiv:0712.4046): h = a * b is
-    # read from h(+-2^s), two int products of half the width of h(2^(2s)), with
-    # 2^(2s) = 256^nb > 2 * bound.  A square packs a at 2^s > 2 * max|a| * sqrt(len(a))
-    # for _two_point_square.  Distinct operands, E(x^2) + x * O(x^2) with E and O
-    # packed apart, are E +- (O << s) at +-2^s; h(2^s) +- h(-2^s) is 2E_h or O_h << (s + 1).
-    nb = _slot_bytes(bound)
-    if b is a:
-        return _two_point_square(lambda s: _binary_pack(a, s // 8), nb, len(a))
+def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], nb: int) -> list[int]:
+    # Two-point Kronecker substitution (Harvey, arXiv:0712.4046) for distinct
+    # operands: h = a * b is read from h(+-2^s), two int products of half the
+    # width of h(2^(2s)), with 2^(2s) = 256^nb for nb the product's slot bytes
+    # rounded up to even.  E(x^2) + x * O(x^2) with E and O packed apart is
+    # E +- (O << s) at +-2^s; h(2^s) +- h(-2^s) is 2E_h or O_h << (s + 1).
     nb += nb & 1
     s = 4 * nb
     even_a, odd_a = _binary_pack(a[0::2], nb), _binary_pack(a[1::2], nb) << s
@@ -461,8 +463,9 @@ def _kronecker_binary(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> lis
 
 def _two_point_square(value_at, nb: int, length: int) -> list[int]:
     # p * p, for p of length coefficients, from v = value_at(s) = p(2^s), in slots of nb bytes
-    # rounded up to even, s = 4 * nb.  v + H, H = 2^(s-1) in each slot, holds c_i + H in slot i,
-    # so its odd slots less H's are p's odd part, and v less twice that part is p(-2^s).
+    # rounded up to even, s = 4 * nb; the square's slot bytes make 2^s > 2 * max|p| * sqrt(length).
+    # v + H, H = 2^(s-1) in each slot, holds c_i + H in slot i, so its odd slots less H's are
+    # p's odd part, and v less twice that part is p(-2^s).
     nb += nb & 1
     v, half = value_at(4 * nb), nb // 2
     h = int.from_bytes((bytes(half - 1) + b"\x80") * length, "little")
@@ -604,18 +607,6 @@ def _compose_packed(cs: tuple[int, ...], inner: tuple[int, ...], nb: int) -> lis
     for j in range((len(cs) - 1) // s * s, -1, -s):
         acc = acc * step + sum(c * w for c, w in zip(cs[j : j + s], powers))
     return _binary_unpack(acc, nb, (len(cs) - 1) * (len(inner) - 1) + 1)
-
-
-def _compose_horner(cs, inner) -> list[int]:
-    # Horner in lists, acc <- acc*inner + c from the top coefficient down,
-    # for a nonempty inner; a zero inner leaves the constant term p(0).
-    if not cs or not inner:
-        return list(cs[:1])
-    acc = [cs[-1]]
-    for c in cs[-2::-1]:
-        acc = _mul(acc, inner)
-        acc[0] += c
-    return acc
 
 
 def _seq_add(a, b) -> list[int]:

@@ -420,6 +420,8 @@ def run_suite(name: str, sweep: int = 200) -> SuiteResult:
     factory = dict(SUITES).get(name)
     if factory is None:
         raise OutOfBoundsError(f"unknown verify suite {name!r}")
+    if type(sweep) is not int:
+        raise TypeError(f"sweep bound must be int, not {type(sweep).__name__}")
     if sweep < 1:
         raise OutOfBoundsError("sweep bound must be at least 1")
     start = perf_counter()

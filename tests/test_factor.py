@@ -194,6 +194,18 @@ def test_phi_odd_lucas_rejects_even():
         phi_odd_lucas(6)
 
 
+def test_applicable_routes_takes_the_family_index_rule():
+    # applicable_routes(True) and (0) returned route lists.  phi_odd_lucas
+    # and phi_pow2 take the same rule (tests/test_sequences.py), and their
+    # below-minimum and even-index messages are pinned in tests/test_cli.py.
+    for index in (True, 3.0):
+        with pytest.raises(TypeError, match=f"^applicable_routes index must be int, not {type(index).__name__}$"):
+            factor_mod.applicable_routes(index)
+    for index in (0, -4):
+        with pytest.raises(OutOfBoundsError, match="^applicable_routes index must be at least 1$"):
+            factor_mod.applicable_routes(index)
+
+
 def test_phi_odd_lucas_caches_no_lucas():
     CACHE.clear()
     phi_odd_lucas(3465)

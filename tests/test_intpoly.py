@@ -155,7 +155,11 @@ def kernel_operands(threshold):
 
 
 def binary_radix(a, b):
-    return _kronecker_binary(a, b, _kronecker_bound(a, b))
+    # The binary radix at any packed size: a square by the two-point square,
+    # distinct operands by _kronecker_binary, in the product's slot bytes.
+    if b is a:
+        return two_point_square(a)
+    return _kronecker_binary(a, b, _slot_bytes(_kronecker_bound(a, b)))
 
 
 def decimal_radix(a, b):
@@ -169,7 +173,7 @@ RADICES = (_mul_kronecker, binary_radix, decimal_radix)
 
 def two_point_square(a):
     # The binary radix's square of a, fed a packed at half the product's
-    # slot, as _kronecker_binary feeds it, at any packed size.
+    # slot, as _mul_kronecker feeds it, at any packed size.
     nb = _slot_bytes(_kronecker_bound(a, a))
     return _two_point_square(lambda s: _binary_pack(a, s // 8), nb, len(a))
 
@@ -267,7 +271,7 @@ def test_kronecker_radix_switches_at_the_packed_size(monkeypatch):
     a = (m,) * 256
     assert _kronecker_bound(a, a + (m,)).bit_length() // 8 + 1 == 64 == cutoff // 512
 
-    def refuse(a, b, bound):
+    def refuse(*args):
         raise AssertionError("wrong Kronecker radix")
 
     for b, refused in (((m,) * 257, "_kronecker_decimal"), ((m,) * 258, "_kronecker_binary")):
@@ -519,9 +523,10 @@ def test_linear_compose_matches_horner(p, inner):
 # constant term, dense ones of up to 40 coefficients, and HUGE coefficients.
 # An outer of two or more coefficients and an inner of three or more take
 # Paterson-Stockmeyer on the packed inner while the result packs into 32 KiB;
-# outers of up to 30 coefficients make three to six blocks there.  Past that
-# size Horner runs on lists, and an inner over 32 coefficients sends its
-# steps to Kronecker.
+# outers of up to 30 coefficients make three to six blocks there.  Any other
+# composition returns p(q), so for a zero or constant operand the comparison
+# below holds by construction; test_compose_with_a_zero_or_constant_operand
+# pins those by hand.
 nonlinear_inners = st.one_of(
     st.sampled_from((ZERO, ONE, IntPoly((-7,)), IntPoly((HUGE,)), IntPoly((0, 0, 1)), IntPoly((0, 3, 0, -2)))),
     st.builds(IntPoly, st.lists(wide_coeffs, min_size=3, max_size=40)),
@@ -543,15 +548,56 @@ def test_nonlinear_compose_matches_horner(p, inner):
     assert well_formed(composed)
 
 
-def refuse(*args):
-    raise AssertionError("wrong composition path")
+def test_compose_with_a_zero_or_constant_operand():
+    # compose returns p(q) here, so the values are worked by hand: a zero q
+    # leaves p(0), a constant q the number p(c), and a zero or constant p
+    # itself, whatever q is.
+    p, q = IntPoly((4, 0, -1)), IntPoly((1, -2, 3))
+    cases = (
+        (ZERO, q, ZERO),
+        (ZERO, ZERO, ZERO),
+        (IntPoly((-7,)), q, IntPoly((-7,))),
+        (IntPoly((5,)), IntPoly((9,)), IntPoly((5,))),
+        (IntPoly((HUGE,)), ZERO, IntPoly((HUGE,))),
+        (p, ZERO, IntPoly((4,))),
+        (p, IntPoly((3,)), IntPoly((-5,))),
+        (p, IntPoly((-2,)), ZERO),
+        (IntPoly((1, 1, 1)), IntPoly((-HUGE,)), IntPoly((1 - HUGE + HUGE * HUGE,))),
+        (IntPoly((0, 0, 0, 1)), ZERO, ZERO),
+    )
+    for outer, inner, expected in cases:
+        composed = outer.compose(inner)
+        assert composed == expected, (outer, inner)
+        assert well_formed(composed)
+
+
+def spy_compose(monkeypatch):
+    """Record each packed composition and each p(q) at an IntPoly q, as operand lengths."""
+    packed, fallback = [], []
+    real_packed, real_call = intpoly_mod._compose_packed, IntPoly.__call__
+
+    def packed_spy(cs, inner, nb):
+        packed.append((len(cs), len(inner)))
+        return real_packed(cs, inner, nb)
+
+    def call_spy(p, a):
+        if isinstance(a, IntPoly):
+            fallback.append((len(p.coeffs), len(a.coeffs)))
+        return real_call(p, a)
+
+    monkeypatch.setattr(intpoly_mod, "_compose_packed", packed_spy)
+    monkeypatch.setattr(IntPoly, "__call__", call_spy)
+    return packed, fallback
+
+
+def lengths(pairs):
+    return [(len(p.coeffs), len(q.coeffs)) for p, q in pairs]
 
 
 # Outer lengths around each square s^2, where the block length
 # isqrt(length - 1) + 1 and the number of blocks change.
 @pytest.mark.parametrize("length", [3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26])
 def test_packed_compose_at_block_boundaries(monkeypatch, length):
-    monkeypatch.setattr(intpoly_mod, "_compose_horner", refuse)
     rng = random.Random(length)
     outers = (
         IntPoly([rng.randint(-9, 9) for _ in range(length - 1)] + [-1]),
@@ -560,61 +606,56 @@ def test_packed_compose_at_block_boundaries(monkeypatch, length):
         IntPoly.monomial(length - 1, -1),  # every block but the top one is zero
     )
     inners = (IntPoly((0, 0, 1)), IntPoly((0, 3, 0, -2)), IntPoly((5, -1, 2)), IntPoly((-1, 0, 0, 0, -7)))
-    for p in outers:
-        for q in inners:
-            composed = p.compose(q)
-            assert composed == p(q), (p, q)
-            assert well_formed(composed)
+    pairs = [(p, q) for p in outers for q in inners]
+    expected = [p(q) for p, q in pairs]
+    packed, fallback = spy_compose(monkeypatch)
+    composed = [p.compose(q) for p, q in pairs]
+    assert (packed, fallback) == (lengths(pairs), [])
+    assert composed == expected
+    assert all(map(well_formed, composed))
 
 
 def test_packed_compose_beyond_the_digit_limit(monkeypatch):
     # Slots of 2 to 6 thousand bytes, each coefficient past the 4300-digit limit.
-    monkeypatch.setattr(intpoly_mod, "_compose_horner", refuse)
-    cases = (
+    pairs = (
         (IntPoly((HUGE, 0, -HUGE + 1)), IntPoly((1, -2, 1))),
         (IntPoly((1, -2, -3)), IntPoly((HUGE, -1, HUGE + 7))),
         (IntPoly((-HUGE, 1, HUGE)), IntPoly((0, HUGE, -HUGE))),
     )
-    for p, q in cases:
-        assert p.compose(q) == p(q)
+    expected = [p(q) for p, q in pairs]
+    packed, fallback = spy_compose(monkeypatch)
+    assert [p.compose(q) for p, q in pairs] == expected
+    assert (packed, fallback) == (lengths(pairs), [])
 
 
 def test_packed_compose_stops_at_the_binary_size(monkeypatch):
     # L_24(L_24) packs 577 slots of 51 bytes, within 32 KiB; L_25(L_25)
-    # would pack 626 of 55 and runs Horner on lists.
-    for n, packed_bytes, refused in ((24, 29427, "_compose_horner"), (25, 34430, "_compose_packed")):
-        a = lucas(n).coeffs
-        assert _slot_bytes(_compose_bound(a, a)) * (n * n + 1) == packed_bytes
-        monkeypatch.setattr(intpoly_mod, refused, refuse)
-        assert lucas(n).compose(lucas(n)) == lucas(n)(lucas(n)) == lucas(n * n)
+    # would pack 626 of 55 and returns p(q), Horner through IntPoly values.
+    for n, packed_bytes, fits in ((24, 29427, True), (25, 34430, False)):
+        p = lucas(n)
+        assert _slot_bytes(_compose_bound(p.coeffs, p.coeffs)) * (n * n + 1) == packed_bytes
+        packed, fallback = spy_compose(monkeypatch)
+        assert p.compose(p) == lucas(n * n)
+        assert (packed, fallback) == (([(n + 1, n + 1)], []) if fits else ([], [(n + 1, n + 1)]))
         monkeypatch.undo()
 
 
 def test_composition_suites_pack_every_nonlinear_composition(monkeypatch):
-    # verify's composition identities take the packed path; Horner on lists
-    # sees only a zero or constant operand, such as lucas(0) = 2.
-    horner_operands, packed = [], []
-    real_horner, real_packed = intpoly_mod._compose_horner, intpoly_mod._compose_packed
-
-    def horner(cs, inner):
-        horner_operands.append((len(cs), len(inner)))
-        return real_horner(cs, inner)
-
-    def packed_spy(cs, inner, nb):
-        packed.append((len(cs), len(inner)))
-        return real_packed(cs, inner, nb)
-
-    monkeypatch.setattr(intpoly_mod, "_compose_horner", horner)
-    monkeypatch.setattr(intpoly_mod, "_compose_packed", packed_spy)
+    # verify's composition identities take the Taylor shift or the packed
+    # path; p(q) sees only a zero or constant operand, such as lucas(0) = 2.
+    # At a sweep of 49 every one of these suites has reached its own bound.
+    packed, fallback = spy_compose(monkeypatch)
     suites = (
         "lucas-index-product",
         "zpread-index-product",
         "zpread-capital-phi-commutation",
         "zpread-square-substitution",
+        "capital-phi-reflection",
+        "compose-associativity",
     )
     for name in suites:
-        assert verify.run_suite(name, 20).passed, name
-    assert horner_operands and all(min(lengths) <= 1 for lengths in horner_operands)
+        assert verify.run_suite(name, 49).passed, name
+    assert fallback and all(min(sizes) <= 1 for sizes in fallback)
     assert len(packed) > 500
 
 

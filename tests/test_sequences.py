@@ -356,6 +356,8 @@ INDEX_FUNCTIONS = [
     "psi",
     "phi_min",
     "phi_composed",
+    "phi_odd_lucas",
+    "phi_pow2",
     "capital_phi",
     "cross_check_phi",
     "factor_zpread",

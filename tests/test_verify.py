@@ -26,6 +26,22 @@ def test_degenerate_sweep_passes():
     assert report.passed
 
 
+@pytest.mark.parametrize("sweep", [2.5, 20.0, True, "20", None], ids=repr)
+def test_a_sweep_that_is_not_an_int_is_refused_before_any_suite_runs(monkeypatch, sweep):
+    # Unchecked, ring-axioms passed at 2.5, zpread-two-routes died inside
+    # range, and True ran as a sweep of 1.
+    message = f"^sweep bound must be int, not {type(sweep).__name__}$"
+    for name in ("ring-axioms", "zpread-two-routes"):
+        with pytest.raises(TypeError, match=message):
+            run_suite(name, sweep)
+    ran = []
+    suites = tuple((name, lambda n, name=name: ran.append(name) or iter(())) for name, _ in SUITES)
+    monkeypatch.setattr(verify_mod, "SUITES", suites)
+    with pytest.raises(TypeError, match=message):
+        run_verification(sweep)
+    assert ran == []
+
+
 def test_corrupted_route_is_caught_and_reported():
     with factor_mod.corrupted_phi(9):
         result = run_suite("phi-route-agreement", sweep=20)
